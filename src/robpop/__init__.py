@@ -7,17 +7,15 @@ Hamiltonian, and cross-validates values against direct Monte Carlo simulation
 of the distorted dynamics.
 """
 
-from .grid import Mesh, TimeGrid, build_mesh, build_time_grid, interp_weights
+from .grid import Mesh, TimeGrid, build_mesh, build_time_grid
 from .jump_ops import (JumpQuadrature, apply_expectation, apply_nonlocal,
                        build_jump_quadrature, entropy_penalty)
-from .local_ops import (ControlSample, hamiltonian, lambda_field, optimal_lambda,
-                        optimal_q, q_field)
+from .local_ops import lambda_field, q_field
 from .mc import (JumpSampler, PathBatch, SimConfig, ValueEstimate,
-                 make_jump_sampler, sample_jump_size, simulate_paths,
-                 simulate_value)
+                 make_jump_sampler, simulate_paths, simulate_value)
 from .model import (JumpDensity, ProblemSpec, TabulatedFunction, ValidationResult,
                     make_paper_spec, point_mass_density, tabulated,
-                    tabulated_density, uniform_density, validate_spec, with_psi)
+                    tabulated_density, uniform_density, validate_spec)
 from .solver import (ControlField, ControlTable, ErgodicReport, PolicyConfig,
                      PolicyIterationError, SchemeError, SingularSystemError,
                      Snapshot, SolveResult, TridiagonalSystem, ValueField,
@@ -28,16 +26,15 @@ from .solver import (ControlField, ControlTable, ErgodicReport, PolicyConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Mesh", "TimeGrid", "build_mesh", "build_time_grid", "interp_weights",
+    "Mesh", "TimeGrid", "build_mesh", "build_time_grid",
     "JumpQuadrature", "apply_expectation", "apply_nonlocal",
     "build_jump_quadrature", "entropy_penalty",
-    "ControlSample", "hamiltonian", "lambda_field", "optimal_lambda",
-    "optimal_q", "q_field",
+    "lambda_field", "q_field",
     "JumpSampler", "PathBatch", "SimConfig", "ValueEstimate",
-    "make_jump_sampler", "sample_jump_size", "simulate_paths", "simulate_value",
+    "make_jump_sampler", "simulate_paths", "simulate_value",
     "JumpDensity", "ProblemSpec", "TabulatedFunction", "ValidationResult",
     "make_paper_spec", "point_mass_density", "tabulated", "tabulated_density",
-    "uniform_density", "validate_spec", "with_psi",
+    "uniform_density", "validate_spec",
     "ControlField", "ControlTable", "ErgodicReport", "PolicyConfig",
     "PolicyIterationError", "SchemeError", "SingularSystemError", "Snapshot",
     "SolveResult", "TridiagonalSystem", "ValueField", "assemble_system",

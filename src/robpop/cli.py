@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -29,8 +30,8 @@ from .model import (ProblemSpec, declining_rate, logistic_growth, tabulated,
                     tabulated_density, tent_disutility, tenth_cost,
                     uniform_density, unit_rate, validate_spec, zero_cost,
                     zero_rate)
-from .solver import (PolicyConfig, PolicyIterationError, solve_backward,
-                     solve_many, switching_points)
+from .solver import (PolicyConfig, PolicyIterationError, SchemeError,
+                     solve_backward, solve_many, switching_points)
 
 # benchmark values printed next to the computed ones; the combination of
 # migration intensities and jump densities behind them is not fully pinned
@@ -83,7 +84,6 @@ DEFAULTS: dict[str, object] = {
     "snapshot_times": [],
     "sweep.param": "",
     "sweep.values": [],
-    "sweep.workers": 0,
     "mc.dt_sim": 5e-4,
     "mc.n_paths": 100_000,
     "mc.seed": 0,
@@ -136,6 +136,11 @@ def resolve_config(entries: dict[str, object]) -> RunConfig:
                                        else "one")
     resolved["model.cost_h"] = "tenth_q" if preset == "controlled" else "zero"
     resolved.update(entries)
+    for key, value in resolved.items():
+        if isinstance(DEFAULTS[key], int) and not isinstance(value, int):
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if not _finite(value):
+            raise ConfigError(f"{key} must be finite, got {_fmt_value(value)}")
 
     command = resolved["command"]
     if command not in ("solve", "sweep", "mc-check"):
@@ -149,6 +154,12 @@ def resolve_config(entries: dict[str, object]) -> RunConfig:
         raise ConfigError("mc-check compares against the t = 0 slice; "
                           "mc.start_t must be 0")
     return RunConfig(items={k: resolved[k] for k in DEFAULTS})
+
+
+def _finite(value) -> bool:
+    if isinstance(value, (list, tuple)):
+        return all(_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 def _fmt_value(value) -> str:
@@ -244,15 +255,20 @@ def read_provenance(path) -> str:
 # commands
 # ---------------------------------------------------------------------------
 
-def _run_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
-    spec = build_spec(cfg)
+def _run_setup(cfg: RunConfig, spec: ProblemSpec):
+    """Mesh, time grid and the solver keywords that every command passes."""
     mesh = build_mesh(int(cfg["mesh.n_cells"]))
     tg = build_time_grid(spec.horizon, float(cfg["time.dt"]))
     policy = PolicyConfig(tol=float(cfg["solver.tol"]),
                           max_iter=int(cfg["solver.max_iter"]))
-    result = solve_backward(spec, mesh, tg, policy=policy,
+    return mesh, tg, {"policy": policy, "n_quad": int(cfg["solver.n_quad"])}
+
+
+def _run_solve(cfg: RunConfig, spec: ProblemSpec, out: Path, quiet: bool) -> int:
+    mesh, tg, solver_kw = _run_setup(cfg, spec)
+    result = solve_backward(spec, mesh, tg,
                             snapshot_times=tuple(cfg["snapshot_times"]),
-                            n_quad=int(cfg["solver.n_quad"]))
+                            **solver_kw)
     prov = cfg.provenance()
     phi = result.final_value.values
     ctrl = result.final_controls
@@ -286,18 +302,13 @@ def _run_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
     return 0
 
 
-def _run_sweep(cfg: RunConfig, out: Path, quiet: bool) -> int:
-    base = build_spec(cfg)
+def _run_sweep(cfg: RunConfig, base: ProblemSpec, out: Path, quiet: bool) -> int:
     param = cfg["sweep.param"]
     values = sorted(float(v) for v in cfg["sweep.values"])
     specs = [_sweep_spec(base, param, v) for v in values]
-    mesh = build_mesh(int(cfg["mesh.n_cells"]))
-    tg = build_time_grid(base.horizon, float(cfg["time.dt"]))
-    policy = PolicyConfig(tol=float(cfg["solver.tol"]),
-                          max_iter=int(cfg["solver.max_iter"]))
-    workers = int(cfg["sweep.workers"]) or min(os.cpu_count() or 1, len(specs))
-    results = solve_many(specs, mesh, tg, policy=policy,
-                         n_quad=int(cfg["solver.n_quad"]), workers=workers)
+    mesh, tg, solver_kw = _run_setup(cfg, base)
+    workers = min(len(os.sched_getaffinity(0)), len(specs))
+    results = solve_many(specs, mesh, tg, workers=workers, **solver_kw)
 
     rows = []
     for v, res in zip(values, results):
@@ -318,15 +329,9 @@ def _run_sweep(cfg: RunConfig, out: Path, quiet: bool) -> int:
     return 0
 
 
-def _run_mc_check(cfg: RunConfig, out: Path, quiet: bool) -> int:
-    spec = build_spec(cfg)
-    mesh = build_mesh(int(cfg["mesh.n_cells"]))
-    tg = build_time_grid(spec.horizon, float(cfg["time.dt"]))
-    policy = PolicyConfig(tol=float(cfg["solver.tol"]),
-                          max_iter=int(cfg["solver.max_iter"]))
-    result = solve_backward(spec, mesh, tg, policy=policy,
-                            n_quad=int(cfg["solver.n_quad"]),
-                            record_controls=True)
+def _run_mc_check(cfg: RunConfig, spec: ProblemSpec, out: Path, quiet: bool) -> int:
+    mesh, tg, solver_kw = _run_setup(cfg, spec)
+    result = solve_backward(spec, mesh, tg, record_controls=True, **solver_kw)
     start_x = float(cfg["mc.start_x"])
     pde_value = float(np.interp(start_x, mesh.nodes, result.final_value.values))
     sim = SimConfig(dt_sim=float(cfg["mc.dt_sim"]),
@@ -358,18 +363,17 @@ def execute(cfg: RunConfig, out_dir, quiet: bool = False) -> int:
     """Dispatch one resolved run; returns the process exit code."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    check = validate_spec(build_spec(cfg))
+    spec = build_spec(cfg)
+    check = validate_spec(spec)
     if not check.ok:
         for violation in check.violations:
             print(f"invalid model: {violation}", file=sys.stderr)
         return 1
+    run = {"solve": _run_solve, "sweep": _run_sweep,
+           "mc-check": _run_mc_check}[cfg["command"]]
     try:
-        if cfg["command"] == "solve":
-            return _run_solve(cfg, out, quiet)
-        if cfg["command"] == "sweep":
-            return _run_sweep(cfg, out, quiet)
-        return _run_mc_check(cfg, out, quiet)
-    except PolicyIterationError as exc:
+        return run(cfg, spec, out, quiet)
+    except (PolicyIterationError, SchemeError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
 

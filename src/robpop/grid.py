@@ -59,9 +59,3 @@ def interp_weights_many(mesh: Mesh, ys: np.ndarray):
     # dividing by the actual node gap keeps exact hits exact (t = 0 or t = 1)
     t = (ys - nodes[idx]) / (nodes[idx + 1] - nodes[idx])
     return idx, 1.0 - t, t
-
-
-def interp_weights(mesh: Mesh, y: float) -> tuple[int, float, float]:
-    """Bracketing node index and convex weights for a single point in [0, 1]."""
-    idx, lw, rw = interp_weights_many(mesh, np.asarray([float(y)]))
-    return int(idx[0]), float(lw[0]), float(rw[0])

@@ -1,35 +1,18 @@
-"""Pointwise Hamiltonian and the two continuous-control optimizers.
+"""The two pointwise continuous-control optimizers of the backward step.
 
-The decision-maker's intervention q maximizes -r(q) a(x) p - h(q) over a
-discrete candidate grid (ties broken toward the smallest q, i.e. toward no
+The decision-maker's intervention q maximizes -r(q) a(x) p - h(q) over the
+discrete candidate table (q_k, r(q_k), h(q_k)) built once per solve by
+:func:`q_candidates` (ties broken toward the smallest q, i.e. toward no
 intervention); nature's drift distortion lambda minimizes the quadratic
 -sigma lambda a(x) p + lambda^2 / (2 psi0) in closed form with clamping to
-[-lambda_max, lambda_max].
+[-lambda_max, lambda_max]. Both work on whole node arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import ProblemSpec
-
-
-@dataclass(frozen=True)
-class ControlSample:
-    """One admissible control point; used for bound checks in tests."""
-
-    q: float
-    lam: float
-    theta1: float
-    theta2: float
-
-    def admissible(self, spec: ProblemSpec) -> bool:
-        return (0.0 <= self.q <= spec.q_max
-                and abs(self.lam) <= spec.lambda_max
-                and 0.0 <= self.theta1 <= spec.theta_max
-                and 0.0 <= self.theta2 <= spec.theta_max)
 
 
 def lambda_field(spec: ProblemSpec, a_vals: np.ndarray, p_vals: np.ndarray):
@@ -40,35 +23,21 @@ def lambda_field(spec: ProblemSpec, a_vals: np.ndarray, p_vals: np.ndarray):
     return lam, value
 
 
-def q_field(spec: ProblemSpec, a_vals: np.ndarray, p_vals: np.ndarray):
+def q_candidates(spec: ProblemSpec):
+    """Candidate table (q_k, r(q_k), h(q_k)) that :func:`q_field` searches."""
+    qs = spec.q_grid()
+    return (qs, np.asarray(spec.growth_rate_r(qs), dtype=float),
+            np.asarray(spec.cost_h(qs), dtype=float))
+
+
+def q_field(table, a_vals: np.ndarray, p_vals: np.ndarray):
     """Vectorized discrete argmax of -r(q) a p - h(q); first (smallest) q wins ties.
 
-    Returns (q_star, max_value, r_at_q_star).
+    `table` is the output of :func:`q_candidates`. Returns (q_star,
+    max_value, r_at_q_star, h_at_q_star).
     """
-    qs = spec.q_grid()
-    r_vals = np.asarray(spec.growth_rate_r(qs), dtype=float)
-    h_vals = np.asarray(spec.cost_h(qs), dtype=float)
+    qs, r_vals, h_vals = table
     objective = -np.outer(r_vals, a_vals * p_vals) - h_vals[:, None]
     k = np.argmax(objective, axis=0)
     cols = np.arange(objective.shape[1])
-    return qs[k], objective[k, cols], r_vals[k]
-
-
-def optimal_lambda(spec: ProblemSpec, x: float, p: float) -> tuple[float, float]:
-    a = np.asarray(spec.growth_a(x), dtype=float).reshape(1)
-    lam, value = lambda_field(spec, a, np.asarray([float(p)]))
-    return float(lam[0]), float(value[0])
-
-
-def optimal_q(spec: ProblemSpec, x: float, p: float) -> tuple[float, float]:
-    a = np.asarray(spec.growth_a(x), dtype=float).reshape(1)
-    q, value, _ = q_field(spec, a, np.asarray([float(p)]))
-    return float(q[0]), float(value[0])
-
-
-def hamiltonian(spec: ProblemSpec, x: float, p: float) -> float:
-    """f(x) minus the intervention maximum minus the distortion minimum."""
-    f = float(np.asarray(spec.disutility_f(x), dtype=float))
-    _, q_value = optimal_q(spec, x, p)
-    _, lam_value = optimal_lambda(spec, x, p)
-    return f - q_value - lam_value
+    return qs[k], objective[k, cols], r_vals[k], h_vals[k]

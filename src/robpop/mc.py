@@ -92,15 +92,12 @@ def make_jump_sampler(density: JumpDensity, n_grid: int = 4097) -> JumpSampler:
     return JumpSampler(zs=zs, cdf=cdf / cdf[-1], point=None)
 
 
-def sample_jump_size(density: JumpDensity, rng: np.random.Generator) -> float:
-    return float(make_jump_sampler(density).sample(rng))
-
-
 # ---------------------------------------------------------------------------
 # path simulation
 # ---------------------------------------------------------------------------
 
 def _nearest_indices(times: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Nearest slice of the ascending `times` for each t; ties go earlier."""
     if times.size == 1:
         return np.zeros(ts.size, dtype=int)
     pos = np.clip(np.searchsorted(times, ts), 1, times.size - 1)
@@ -112,21 +109,18 @@ def _nearest_indices(times: np.ndarray, ts: np.ndarray) -> np.ndarray:
 def _make_locator(nodes: np.ndarray):
     """Cell index and fractional weight for positions in [0, 1].
 
-    The control mesh is uniform in this package, which admits direct index
-    arithmetic; a nonuniform table falls back to binary search.
+    Control tables live on the uniform nodes of `build_mesh`, which admits
+    direct index arithmetic; other nodes are rejected.
     """
     n_cells = nodes.size - 1
     gaps = np.diff(nodes)
-    if np.allclose(gaps, gaps[0], rtol=0.0, atol=1e-12):
-        def locate(x):
-            s = x * n_cells
-            idx = np.minimum(s.astype(np.int64), n_cells - 1)
-            return idx, s - idx
-    else:
-        def locate(x):
-            idx = np.clip(np.searchsorted(nodes, x, side="right") - 1,
-                          0, n_cells - 1)
-            return idx, (x - nodes[idx]) / (nodes[idx + 1] - nodes[idx])
+    if not np.allclose(gaps, gaps[0], rtol=0.0, atol=1e-12):
+        raise ValueError("control table nodes must be uniformly spaced")
+
+    def locate(x):
+        s = x * n_cells
+        idx = np.minimum(s.astype(np.int64), n_cells - 1)
+        return idx, s - idx
     return locate
 
 

@@ -9,7 +9,8 @@ disutility). Specs are immutable and safe to share across concurrent solves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -218,18 +219,6 @@ def make_paper_spec(with_control: bool = False) -> ProblemSpec:
     )
 
 
-def with_psi(spec: ProblemSpec, psi0: float | None = None,
-             psi: float | None = None) -> ProblemSpec:
-    """Copy of `spec` with the diffusion and/or joint jump ambiguity changed."""
-    kwargs = {}
-    if psi0 is not None:
-        kwargs["psi0"] = psi0
-    if psi is not None:
-        kwargs["psi1"] = psi
-        kwargs["psi2"] = psi
-    return replace(spec, **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -247,6 +236,9 @@ class ValidationResult:
 
 
 _BOUNDARY_TOL = 1e-12
+_NONNEGATIVE = ("sigma", "gamma0", "gamma1", "nu1", "nu2")
+_POSITIVE = ("psi0", "psi1", "psi2", "lambda_max", "theta_max", "q_max",
+             "horizon")
 
 
 def _check_density(name: str, density: JumpDensity, out: list[str]) -> None:
@@ -268,35 +260,36 @@ def _check_density(name: str, density: JumpDensity, out: list[str]) -> None:
 def validate_spec(spec: ProblemSpec, n_samples: int = 201) -> ValidationResult:
     """Check well-posedness; all violations are collected, none are raised."""
     v: list[str] = []
-    for name in ("sigma", "gamma0", "gamma1", "nu1", "nu2"):
+    for name in _NONNEGATIVE:
         if getattr(spec, name) < 0.0:
             v.append(f"{name} must be >= 0")
-    for name in ("psi0", "psi1", "psi2", "lambda_max", "theta_max", "q_max",
-                 "horizon"):
+    for name in _POSITIVE:
         if getattr(spec, name) <= 0.0:
             v.append(f"{name} must be > 0")
-    if spec.q_grid_size < 2:
-        v.append("q_grid_size must be >= 2")
+    v += [f"{name} must be finite" for name in _NONNEGATIVE + _POSITIVE
+          if not math.isfinite(getattr(spec, name))]
+    if not isinstance(spec.q_grid_size, (int, np.integer)) or spec.q_grid_size < 2:
+        v.append("q_grid_size must be an integer >= 2")
 
     a0 = float(np.asarray(spec.growth_a(0.0), dtype=float))
     a1 = float(np.asarray(spec.growth_a(1.0), dtype=float))
-    if abs(a0) > _BOUNDARY_TOL:
+    if not abs(a0) <= _BOUNDARY_TOL:
         v.append(f"growth rate must vanish at the left boundary: a(0) = {a0:.3g}")
-    if abs(a1) > _BOUNDARY_TOL:
+    if not abs(a1) <= _BOUNDARY_TOL:
         v.append(f"growth rate must vanish at the right boundary: a(1) = {a1:.3g}")
     xs = np.linspace(0.0, 1.0, n_samples)
     a_mid = np.asarray(spec.growth_a(xs[1:-1]), dtype=float)
-    if np.any(a_mid <= 0.0):
-        v.append("growth rate must be positive on the sampled interior")
+    if not np.all((a_mid > 0.0) & np.isfinite(a_mid)):
+        v.append("growth rate must be finite and positive on the sampled interior")
 
     f_vals = np.asarray(spec.disutility_f(xs), dtype=float)
-    if np.any(f_vals < 0.0):
-        v.append("disutility must be nonnegative on [0, 1]")
-    if spec.q_max > 0.0:
+    if not np.all((f_vals >= 0.0) & np.isfinite(f_vals)):
+        v.append("disutility must be finite and nonnegative on [0, 1]")
+    if 0.0 < spec.q_max < math.inf:
         qs = np.linspace(0.0, spec.q_max, n_samples)
         h_vals = np.asarray(spec.cost_h(qs), dtype=float)
-        if np.any(h_vals < 0.0):
-            v.append("control cost must be nonnegative on [0, q_max]")
+        if not np.all((h_vals >= 0.0) & np.isfinite(h_vals)):
+            v.append("control cost must be finite and nonnegative on [0, q_max]")
 
     _check_density("jump_density_1", spec.jump_density_1, v)
     _check_density("jump_density_2", spec.jump_density_2, v)

@@ -16,6 +16,7 @@ local parts nu theta phi stay implicit.
 from __future__ import annotations
 
 import concurrent.futures
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,12 +25,12 @@ from scipy.linalg import lapack
 from .grid import Mesh, TimeGrid
 from .jump_ops import (JumpQuadrature, apply_nonlocal, build_jump_quadrature,
                        entropy_penalty)
-from .local_ops import lambda_field, q_field
+from .local_ops import lambda_field, q_candidates, q_field
 from .model import ProblemSpec, validate_spec
 
 
 class SchemeError(RuntimeError):
-    """An assembled row violated the M-matrix structure (scheme bug)."""
+    """An assembled row violated the M-matrix structure or is not finite."""
 
 
 class SingularSystemError(RuntimeError):
@@ -86,7 +87,7 @@ class Snapshot:
 
 @dataclass
 class ControlTable:
-    """Control fields on the PDE time levels; nearest-in-time lookup."""
+    """Control fields on the PDE time levels (the Monte Carlo oracle's input)."""
 
     times: np.ndarray           # ascending
     nodes: np.ndarray
@@ -98,19 +99,6 @@ class ControlTable:
     @property
     def spacing(self) -> float:
         return float(self.times[1] - self.times[0]) if self.times.size > 1 else 0.0
-
-    def slice_index(self, t: float) -> int:
-        pos = np.searchsorted(self.times, t)
-        if pos == 0:
-            return 0
-        if pos == self.times.size:
-            return self.times.size - 1
-        return int(pos if self.times[pos] - t < t - self.times[pos - 1] else pos - 1)
-
-    def controls_at(self, t: float) -> ControlField:
-        j = self.slice_index(t)
-        return ControlField(self.q[j], self.lam[j], self.theta1[j],
-                            self.theta2[j], float(self.times[j]))
 
     @classmethod
     def constant(cls, nodes: np.ndarray, q: float, lam: float, theta1: float,
@@ -153,11 +141,15 @@ class SchemeOperators:
     f_vals: np.ndarray
     base_drift: np.ndarray      # gamma1 - (gamma0 + gamma1) x
     diffusion: np.ndarray       # sigma^2 a^2 / 2
+    q_table: tuple              # (q_k, r(q_k), h(q_k)), see q_candidates
+    first_drift: np.ndarray     # uncontrolled drift (q = 0, lambda = 0)
 
 
 def build_scheme(spec: ProblemSpec, mesh: Mesh, n_quad: int = 64) -> SchemeOperators:
     x = mesh.nodes
     a_vals = np.asarray(spec.growth_a(x), dtype=float)
+    base_drift = spec.gamma1 - (spec.gamma0 + spec.gamma1) * x
+    r0 = float(np.asarray(spec.growth_rate_r(0.0), dtype=float))
     return SchemeOperators(
         spec=spec,
         mesh=mesh,
@@ -165,8 +157,10 @@ def build_scheme(spec: ProblemSpec, mesh: Mesh, n_quad: int = 64) -> SchemeOpera
         quad_up=build_jump_quadrature(mesh, spec.jump_density_2, "up", n_quad),
         a_vals=a_vals,
         f_vals=np.asarray(spec.disutility_f(x), dtype=float),
-        base_drift=spec.gamma1 - (spec.gamma0 + spec.gamma1) * x,
+        base_drift=base_drift,
         diffusion=0.5 * spec.sigma ** 2 * a_vals ** 2,
+        q_table=q_candidates(spec),
+        first_drift=base_drift + r0 * a_vals,
     )
 
 
@@ -201,13 +195,14 @@ def _gradient(ops: SchemeOperators, phi: np.ndarray,
 
 
 def assemble_system(ops: SchemeOperators, dt: float, controls: ControlField,
-                    phi_next: np.ndarray, phi_lagged: np.ndarray,
-                    expectations: tuple[np.ndarray, np.ndarray] | None = None
+                    phi_next: np.ndarray, drift: np.ndarray, h_of_q: np.ndarray,
+                    expectations: tuple[np.ndarray, np.ndarray]
                     ) -> TridiagonalSystem:
     """One implicit backward-Euler system at fixed controls.
 
-    `expectations` may carry precomputed (W1 phi_lagged, W2 phi_lagged) rows;
-    otherwise they are evaluated here.
+    Takes the drift b, the cost h(q*) and the jump expectations (W1 phi,
+    W2 phi) that control extraction computed at the lagged iterate phi, so
+    it evaluates no spec coefficient and no quadrature. Checks every row.
     """
     spec = ops.spec
     mesh = ops.mesh
@@ -217,10 +212,7 @@ def assemble_system(ops: SchemeOperators, dt: float, controls: ControlField,
     th1 = controls.theta1_star
     th2 = controls.theta2_star
     lam = controls.lambda_star
-    q = controls.q_star
 
-    r_q = np.asarray(spec.growth_rate_r(q), dtype=float)
-    drift = controlled_drift(ops, r_q, lam)
     central = _central_mask(ops, drift)
     b_plus = np.maximum(drift, 0.0)
     b_minus = np.minimum(drift, 0.0)
@@ -247,12 +239,8 @@ def assemble_system(ops: SchemeOperators, dt: float, controls: ControlField,
     lower[-1] = b_minus[-1] / dx
     diag[-1] += -b_minus[-1] / dx
 
-    if expectations is None:
-        expectations = (ops.quad_down.weights @ phi_lagged,
-                        ops.quad_up.weights @ phi_lagged)
     w1, w2 = expectations
-
-    source = (ops.f_vals + np.asarray(spec.cost_h(q), dtype=float)
+    source = (ops.f_vals + h_of_q
               - lam ** 2 / (2.0 * spec.psi0)
               - (spec.nu1 / spec.psi1) * entropy_penalty(th1)
               - (spec.nu2 / spec.psi2) * entropy_penalty(th2))
@@ -266,12 +254,14 @@ def assemble_system(ops: SchemeOperators, dt: float, controls: ControlField,
 def _check_m_matrix(sys: TridiagonalSystem, dt: float) -> None:
     scale = max(float(np.max(sys.diag)), 1.0)
     slack = 1e-9 * scale
-    if np.any(sys.lower > slack) or np.any(sys.upper > slack):
+    # written as "not all within bound" so that a NaN entry fails the check
+    if not (np.all(sys.lower <= slack) and np.all(sys.upper <= slack)):
         raise SchemeError("positive off-diagonal entry in assembled system")
     off = np.zeros_like(sys.diag)
     off[1:] += np.abs(sys.lower)
     off[:-1] += np.abs(sys.upper)
-    if np.any(sys.diag < 1.0 / dt - slack) or np.any(sys.diag < off - slack):
+    if not (np.all(sys.diag >= 1.0 / dt - slack)
+            and np.all(sys.diag >= off - slack)):
         raise SchemeError("assembled system lost diagonal dominance")
 
 
@@ -305,21 +295,22 @@ def _extract_controls(ops: SchemeOperators, phi: np.ndarray,
                       stencil_drift: np.ndarray, time_label: float):
     """Pointwise optimizers at the current iterate.
 
-    Returns (controls, expectations, drift) with the jump expectations reused
-    both for theta* and for the lagged right-hand side.
+    Returns (controls, drift, h_of_q, expectations) as `assemble_system`
+    takes them. The jump expectations also give theta*, and the drift also
+    picks the next iterate's slope stencil.
     """
     spec = ops.spec
     p = _gradient(ops, phi, stencil_drift)
     lam, _ = lambda_field(spec, ops.a_vals, p)
-    q, _, r_q = q_field(spec, ops.a_vals, p)
+    q, _, r_q, h_q = q_field(ops.q_table, ops.a_vals, p)
     _, delta1, th1 = apply_nonlocal(ops.quad_down, phi, spec.nu1, spec.psi1,
                                     spec.theta_max)
     _, delta2, th2 = apply_nonlocal(ops.quad_up, phi, spec.nu2, spec.psi2,
                                     spec.theta_max)
     controls = ControlField(q_star=q, lambda_star=lam, theta1_star=th1,
                             theta2_star=th2, time_label=time_label)
-    expectations = (phi - delta1, phi - delta2)
-    return controls, expectations, controlled_drift(ops, r_q, lam)
+    return (controls, controlled_drift(ops, r_q, lam), h_q,
+            (phi - delta1, phi - delta2))
 
 
 def step_backward(ops: SchemeOperators, dt: float, phi_next: ValueField,
@@ -328,34 +319,31 @@ def step_backward(ops: SchemeOperators, dt: float, phi_next: ValueField,
 
     Policy iteration alternates control extraction on the current iterate
     with one tridiagonal solve until the slice stops moving in max norm.
-    Returns (value, controls, n_iterations).
+    Returns (value, controls, n_iterations). A non-finite change stops the
+    iteration at once.
     """
     policy = policy or PolicyConfig()
-    spec = ops.spec
     t_new = phi_next.time_label - dt
     phi = phi_next.values
-    # first stencil choice uses the uncontrolled drift (q = 0, lambda = 0)
-    r0 = float(np.asarray(spec.growth_rate_r(0.0), dtype=float))
-    drift = controlled_drift(ops, r0, np.zeros_like(phi))
+    drift = ops.first_drift     # first slope stencil: the uncontrolled drift
 
-    change = np.inf
+    change, iteration = np.inf, 0
     for iteration in range(1, policy.max_iter + 1):
-        controls, expectations, drift = _extract_controls(ops, phi, drift, t_new)
-        sys = assemble_system(ops, dt, controls, phi_next.values, phi,
-                              expectations=expectations)
+        controls, drift, h_q, w = _extract_controls(ops, phi, drift, t_new)
+        sys = assemble_system(ops, dt, controls, phi_next.values, drift, h_q, w)
         phi_new = thomas_solve(sys)
         change = float(np.max(np.abs(phi_new - phi)))
         phi = phi_new
-        if change <= policy.tol:
+        if change <= policy.tol or not math.isfinite(change):
             break
-    else:
+    if not change <= policy.tol:
         raise PolicyIterationError(
             f"policy iteration stalled at t={t_new:.6g} "
-            f"(residual {change:.3e} after {policy.max_iter} iterations)",
+            f"(residual {change:.3e} after {iteration} iterations)",
             residual=change, time_label=t_new)
 
     # re-extract so the reported controls are consistent with the converged slice
-    controls, _, _ = _extract_controls(ops, phi, drift, t_new)
+    controls = _extract_controls(ops, phi, drift, t_new)[0]
     return ValueField(values=phi, time_label=t_new), controls, iteration
 
 

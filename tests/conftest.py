@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import robpop as rp
+from robpop.solver import controlled_drift
 
 BENCH_N_CELLS = 500
 BENCH_DT = 0.005
@@ -46,3 +47,14 @@ def small_mesh():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+def reference_handoff(ops, controls, phi):
+    """What assembly takes at controls and lagged iterate phi, evaluated from
+    the spec's coefficients and the quadrature matrices: the drift, h(q*)
+    and the jump expectations (W1 phi, W2 phi)."""
+    spec = ops.spec
+    drift = controlled_drift(ops, spec.growth_rate_r(controls.q_star),
+                             controls.lambda_star)
+    return (drift, spec.cost_h(controls.q_star),
+            (ops.quad_down.weights @ phi, ops.quad_up.weights @ phi))

@@ -16,7 +16,7 @@ import robpop as rp
 from robpop.model import tabulated, zero_rate
 from robpop.solver import assemble_system, build_scheme, solve_many
 
-from conftest import BENCH_DT, BENCH_N_CELLS
+from conftest import BENCH_DT, BENCH_N_CELLS, reference_handoff
 
 F_MAX = 1.0  # max of the tent disutility
 HORIZON = 50.0
@@ -75,8 +75,8 @@ def test_criterion_03_mirror_symmetry(bench_mesh, bench_time_grid):
 def test_criterion_04_monotone_in_ambiguity(bench_mesh, bench_time_grid,
                                             bench_solve_uncontrolled):
     base = rp.make_paper_spec(False)
-    specs = [rp.with_psi(base, psi0=0.25), rp.with_psi(base, psi0=1.0),
-             rp.with_psi(base, psi=0.25), rp.with_psi(base, psi=1.0)]
+    specs = [replace(base, psi0=0.25), replace(base, psi0=1.0),
+             replace(base, psi1=0.25, psi2=0.25), replace(base, psi1=1.0, psi2=1.0)]
     lo0, hi0, lo_j, hi_j = solve_many(specs, bench_mesh, bench_time_grid,
                                       workers=2)
     mid = bench_solve_uncontrolled
@@ -168,8 +168,9 @@ def test_criterion_09_scheme_structure(bench_mesh, bench_solve_uncontrolled,
     # every assembly during both benchmark solves already self-checks the
     # M-matrix structure (a violation raises); re-check one system explicitly
     phi = bench_solve_controlled.final_value.values
-    sys = assemble_system(ops, BENCH_DT, bench_solve_controlled.final_controls,
-                          phi, phi)
+    ctrl = bench_solve_controlled.final_controls
+    sys = assemble_system(ops, BENCH_DT, ctrl, phi,
+                          *reference_handoff(ops, ctrl, phi))
     off = np.zeros_like(sys.diag)
     off[1:] += np.abs(sys.lower)
     off[:-1] += np.abs(sys.upper)

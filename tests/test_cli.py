@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from robpop.cli import (ConfigError, DEFAULTS, build_spec, execute, main,
                         parse_config_text, read_provenance, resolve_config)
+from robpop.model import JumpDensity, make_paper_spec
 
 TINY = ("preset = 'uncontrolled'; model.horizon = 0.5; "
         "mesh.n_cells = 30; time.dt = 0.01")
@@ -97,6 +100,29 @@ def test_build_spec_rejects_unknown_preset_name():
         build_spec(resolve_config({"model.growth_a": "quartic"}))
 
 
+@pytest.mark.parametrize("preset", ["uncontrolled", "controlled"])
+def test_cli_preset_matches_library_preset(preset):
+    # the acceptance suite solves make_paper_spec; CLI users get build_spec
+    library = make_paper_spec(with_control=preset == "controlled")
+    cli_spec = build_spec(resolve_config({"preset": preset}))
+    z = np.linspace(0.0, 1.0, 101)
+    for field in dataclasses.fields(library):
+        want, got = getattr(library, field.name), getattr(cli_spec, field.name)
+        if isinstance(want, JumpDensity):
+            assert (got.support_lo, got.support_hi) == (want.support_lo,
+                                                        want.support_hi)
+            np.testing.assert_array_equal(got.density(z), want.density(z))
+        else:
+            assert got == want, field.name
+
+
+def test_resolution_rejects_nonfinite_and_noninteger_values():
+    with pytest.raises(ConfigError, match="finite"):
+        resolve_config({"model.jump1": [[0.2, 1.0], [0.5, float("inf")]]})
+    with pytest.raises(ConfigError, match="integer"):
+        resolve_config({"mesh.n_cells": 40.0})
+
+
 # ---------------------------------------------------------------------------
 # solve command artifacts
 # ---------------------------------------------------------------------------
@@ -166,9 +192,26 @@ def test_invalid_model_exits_one(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("statement", ["model.sigma = 1e999",
+                                       "solver.tol = -1e999",
+                                       "model.q_grid_size = 2.5"])
+def test_nonfinite_or_noninteger_value_exits_one(tmp_path, statement):
+    code, _ = run_cli(tmp_path, TINY + "; " + statement)
+    assert code == 1
+
+
 def test_solver_failure_exits_two(tmp_path):
     code, _ = run_cli(tmp_path,
                       TINY + "; solver.max_iter = 1; solver.tol = 1e-30")
+    assert code == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_coefficient_exits_two(tmp_path):
+    # finite and valid, but sigma^2 a^2 / 2 overflows: the M-matrix check
+    # rejects the first assembled system
+    code, _ = run_cli(tmp_path, TINY + "; model.growth_a = "
+                      "[[0.0, 0.0], [0.5, 1e300], [1.0, 0.0]]")
     assert code == 2
 
 
@@ -178,7 +221,7 @@ def test_solver_failure_exits_two(tmp_path):
 
 def test_sweep_rows_sorted_with_expected_columns(tmp_path):
     text = (TINY + "; command = 'sweep'; sweep.param = 'psi0'; "
-            "sweep.values = [1.0, 0.25, 0.5]; sweep.workers = 2")
+            "sweep.values = [1.0, 0.25, 0.5]")
     code, out = run_cli(tmp_path, text)
     assert code == 0
     lines = (out / "sweep.csv").read_text().splitlines()
@@ -191,7 +234,7 @@ def test_sweep_rows_sorted_with_expected_columns(tmp_path):
 
 def test_sweep_joint_psi_axis(tmp_path):
     text = (TINY + "; command = 'sweep'; sweep.param = 'psi'; "
-            "sweep.values = [0.25, 1.0]; sweep.workers = 1")
+            "sweep.values = [0.25, 1.0]")
     code, out = run_cli(tmp_path, text)
     assert code == 0
     lines = (out / "sweep.csv").read_text().splitlines()

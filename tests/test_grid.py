@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robpop.grid import (build_mesh, build_time_grid, interp_weights,
-                         interp_weights_many)
+from robpop.grid import build_mesh, build_time_grid, interp_weights_many
 
 
 def test_build_mesh_benchmark_resolution():
@@ -32,40 +31,43 @@ def test_mesh_nodes_equally_spaced():
 def test_interp_weights_hand_example():
     # 0.37 = 0.3 * 0.3 + 0.7 * 0.4 on the ten-cell mesh
     mesh = build_mesh(10)
-    idx, lw, rw = interp_weights(mesh, 0.37)
-    assert idx == 3
-    assert lw == pytest.approx(0.3, abs=1e-12)
-    assert rw == pytest.approx(0.7, abs=1e-12)
+    idx, lw, rw = interp_weights_many(mesh, [0.37])
+    assert idx[0] == 3
+    assert lw[0] == pytest.approx(0.3, abs=1e-12)
+    assert rw[0] == pytest.approx(0.7, abs=1e-12)
 
 
 def test_interp_weights_left_endpoint():
     mesh = build_mesh(10)
-    assert interp_weights(mesh, 0.0) == (0, 1.0, 0.0)
+    idx, lw, rw = interp_weights_many(mesh, [0.0])
+    assert (idx[0], lw[0], rw[0]) == (0, 1.0, 0.0)
 
 
 def test_interp_weights_right_endpoint_convention():
     mesh = build_mesh(10)
-    assert interp_weights(mesh, 1.0) == (9, 0.0, 1.0)
+    idx, lw, rw = interp_weights_many(mesh, [1.0])
+    assert (idx[0], lw[0], rw[0]) == (9, 0.0, 1.0)
 
 
 def test_interp_weights_exact_node_hits():
     mesh = build_mesh(13)
-    for i, node in enumerate(mesh.nodes[:-1]):
-        assert interp_weights(mesh, float(node)) == (i, 1.0, 0.0)
+    idx, lw, rw = interp_weights_many(mesh, mesh.nodes[:-1])
+    assert idx.tolist() == list(range(13))
+    assert np.all(lw == 1.0) and np.all(rw == 0.0)
 
 
 def test_interp_weights_rejects_outside_domain():
     mesh = build_mesh(4)
     for y in (-1e-9, 1.0 + 1e-9):
         with pytest.raises(ValueError):
-            interp_weights(mesh, y)
+            interp_weights_many(mesh, [y])
 
 
 @settings(max_examples=200, deadline=None)
 @given(y=st.floats(0.0, 1.0), n_cells=st.integers(2, 400))
 def test_interp_reconstructs_point(y, n_cells):
     mesh = build_mesh(n_cells)
-    idx, lw, rw = interp_weights(mesh, y)
+    (idx,), (lw,), (rw,) = interp_weights_many(mesh, [y])
     assert 0.0 <= lw <= 1.0 and 0.0 <= rw <= 1.0
     assert lw + rw == pytest.approx(1.0, abs=1e-14)
     recon = lw * mesh.nodes[idx] + rw * mesh.nodes[idx + 1]

@@ -3,7 +3,7 @@ import pytest
 from dataclasses import replace
 
 import robpop as rp
-from robpop.mc import SimConfig, make_jump_sampler, sample_jump_size
+from robpop.mc import SimConfig, _nearest_indices, make_jump_sampler
 from robpop.model import (point_mass_density, tabulated, tabulated_density,
                           uniform_density)
 from robpop.solver import ControlTable
@@ -30,7 +30,7 @@ def test_uniform_jump_sample_mean(rng):
 
 def test_point_mass_always_returns_the_atom(rng):
     density = point_mass_density(0.3)
-    assert sample_jump_size(density, rng) == 0.3
+    assert make_jump_sampler(density).sample(rng) == 0.3
     draws = make_jump_sampler(density).sample(rng, 100)
     assert np.all(draws == 0.3)
 
@@ -176,8 +176,18 @@ def test_control_table_nearest_lookup():
     table = ControlTable(times=times, nodes=nodes,
                          q=np.zeros(shape), lam=np.zeros(shape),
                          theta1=np.ones(shape), theta2=np.ones(shape))
-    assert table.slice_index(0.004) == 0
-    assert table.slice_index(0.006) == 1
-    assert table.slice_index(0.015) == 1  # ties resolve to the earlier slice
-    assert table.slice_index(0.3) == 2
-    assert table.controls_at(0.006).time_label == pytest.approx(0.01)
+    # the lookup simulate_paths uses to pick a control slice per time step
+    slices = _nearest_indices(table.times, np.asarray([0.004, 0.006, 0.015, 0.3]))
+    assert slices[0] == 0
+    assert slices[1] == 1
+    assert slices[2] == 1  # ties resolve to the earlier slice
+    assert slices[3] == 2
+    assert table.times[slices[1]] == pytest.approx(0.01)
+
+
+def test_rejects_control_table_on_nonuniform_nodes():
+    spec = replace(rp.make_paper_spec(False), horizon=0.5)
+    nodes = np.asarray([0.0, 0.1, 0.5, 1.0])
+    table = ControlTable.constant(nodes, 0.0, 0.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="uniform"):
+        rp.simulate_value(spec, table, SimConfig(dt_sim=0.01, n_paths=4))

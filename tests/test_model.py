@@ -61,6 +61,19 @@ def test_validation_flags_negative_disutility():
     assert not validate_spec(bad).ok
 
 
+@pytest.mark.parametrize("field, value, named", [
+    ("sigma", float("nan"), "sigma"),
+    ("nu1", float("inf"), "nu1"),
+    ("horizon", float("nan"), "horizon"),
+    ("q_grid_size", 2.5, "q_grid_size"),
+    ("disutility_f", tabulated([[0.0, float("inf")], [1.0, 1.0]]), "disutility"),
+])
+def test_validation_flags_nonfinite_and_noninteger_values(field, value, named):
+    result = validate_spec(replace(make_paper_spec(False), **{field: value}))
+    assert not result.ok
+    assert any(named in v for v in result.violations)
+
+
 def test_validation_collects_multiple_violations():
     bad = replace(make_paper_spec(False), psi0=-1.0, sigma=-2.0)
     result = validate_spec(bad)

@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 import robpop as rp
 from robpop.model import tabulated, zero_rate
 from robpop.solver import (ControlField, PolicyConfig, PolicyIterationError,
-                           SingularSystemError, TridiagonalSystem, ValueField,
-                           assemble_system, build_scheme, ergodic_estimate,
-                           step_backward, switching_points, thomas_solve)
+                           SchemeError, SingularSystemError, TridiagonalSystem,
+                           ValueField, _extract_controls, assemble_system,
+                           build_scheme, ergodic_estimate, step_backward,
+                           switching_points, thomas_solve)
+
+from conftest import reference_handoff
 
 ZERO_FN = tabulated([[0.0, 0.0], [1.0, 0.0]])
 
@@ -18,6 +21,11 @@ def neutral_controls(n, time_label=0.0):
     return ControlField(q_star=np.zeros(n), lambda_star=np.zeros(n),
                         theta1_star=np.ones(n), theta2_star=np.ones(n),
                         time_label=time_label)
+
+
+def assemble_at(ops, dt, controls, phi_next, phi_lagged):
+    return assemble_system(ops, dt, controls, phi_next,
+                           *reference_handoff(ops, controls, phi_lagged))
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +105,7 @@ def test_assemble_upwind_row_from_pure_drift():
     # D=0, b=0.5, dx=0.1, dt=0.005: upwind puts -b/dx above the diagonal
     ops = pure_drift_ops(a_level=0.5, r_level=1.0, sigma=0.0)
     n = ops.mesh.n_nodes
-    sys = assemble_system(ops, 0.005, neutral_controls(n), np.zeros(n),
-                          np.zeros(n))
+    sys = assemble_at(ops, 0.005, neutral_controls(n), np.zeros(n), np.zeros(n))
     i = 5
     assert sys.lower[i - 1] == pytest.approx(0.0)
     assert sys.upper[i] == pytest.approx(-5.0)
@@ -109,8 +116,7 @@ def test_assemble_central_row_when_diffusion_dominates():
     # D=1, b=0.5, dx=0.1: central is admissible since 2D/dx = 20 >= 0.5
     ops = pure_drift_ops(a_level=1.0, r_level=0.5, sigma=np.sqrt(2.0))
     n = ops.mesh.n_nodes
-    sys = assemble_system(ops, 0.005, neutral_controls(n), np.zeros(n),
-                          np.zeros(n))
+    sys = assemble_at(ops, 0.005, neutral_controls(n), np.zeros(n), np.zeros(n))
     i = 5
     assert sys.lower[i - 1] == pytest.approx(-97.5)
     assert sys.upper[i] == pytest.approx(-102.5)
@@ -121,8 +127,7 @@ def test_assemble_zero_data_gives_zero_solution():
     mesh = rp.build_mesh(30)
     ops = build_scheme(spec, mesh)
     n = mesh.n_nodes
-    sys = assemble_system(ops, 0.005, neutral_controls(n), np.zeros(n),
-                          np.zeros(n))
+    sys = assemble_at(ops, 0.005, neutral_controls(n), np.zeros(n), np.zeros(n))
     np.testing.assert_allclose(sys.rhs, 0.0, atol=1e-14)
     np.testing.assert_allclose(thomas_solve(sys), 0.0, atol=1e-14)
 
@@ -140,7 +145,7 @@ def test_assembled_rows_are_m_matrix_rows():
                             theta2_star=rng.uniform(0.2, 2.0, n),
                             time_label=0.0)
     dt = 0.005
-    sys = assemble_system(ops, dt, controls, phi, phi)
+    sys = assemble_at(ops, dt, controls, phi, phi)
     assert np.all(sys.lower <= 1e-12)
     assert np.all(sys.upper <= 1e-12)
     off = np.zeros(n)
@@ -148,6 +153,32 @@ def test_assembled_rows_are_m_matrix_rows():
     off[:-1] += np.abs(sys.upper)
     assert np.all(sys.diag >= 1.0 / dt - 1e-9)
     assert np.all(sys.diag >= off - 1e-9)
+
+
+def test_m_matrix_check_rejects_nan_entries():
+    ops = build_scheme(rp.make_paper_spec(False), rp.build_mesh(20))
+    n = ops.mesh.n_nodes
+    controls = neutral_controls(n)
+    controls.theta1_star[7] = np.nan
+    with pytest.raises(SchemeError):
+        assemble_at(ops, 0.005, controls, np.zeros(n), np.zeros(n))
+
+
+def test_extraction_hands_assembly_what_it_would_evaluate():
+    # three candidates with a convex r, so q* takes all of 0, 0.5 and 1
+    spec = replace(rp.make_paper_spec(True), q_grid_size=3,
+                   growth_rate_r=tabulated([[0.0, 1.0], [0.5, 0.4], [1.0, 0.0]]))
+    ops = build_scheme(spec, rp.build_mesh(200))
+    x = ops.mesh.nodes
+    phi = 4.0 * (x - 0.5) ** 2 + 0.1 * np.sin(9.0 * x)
+    controls, drift, h_q, (w1, w2) = _extract_controls(ops, phi, ops.first_drift,
+                                                       0.0)
+    assert set(controls.q_star.tolist()) == {0.0, 0.5, 1.0}
+    ref_drift, ref_h, (ref_w1, ref_w2) = reference_handoff(ops, controls, phi)
+    assert np.array_equal(drift, ref_drift)
+    assert np.array_equal(h_q, ref_h)
+    np.testing.assert_allclose(w1, ref_w1, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(w2, ref_w2, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +227,16 @@ def test_step_backward_nonconvergence_raises():
                       PolicyConfig(tol=1e-30, max_iter=1))
     assert err.value.residual > 0.0
     assert err.value.time_label == pytest.approx(0.495)
+
+
+def test_step_backward_stops_on_first_nonfinite_change():
+    # phi_next / dt overflows the right-hand side on the first solve
+    mesh = rp.build_mesh(30)
+    ops = build_scheme(rp.make_paper_spec(False), mesh)
+    with (pytest.raises(PolicyIterationError, match="after 1 iterations") as err,
+          np.errstate(over="ignore")):
+        step_backward(ops, 0.005, ValueField(np.full(mesh.n_nodes, 1e308), 0.5))
+    assert not np.isfinite(err.value.residual)
 
 
 def test_solve_backward_single_step_constant_cost():
@@ -286,8 +327,9 @@ def test_value_nondecreasing_in_ambiguity_aversion(axis):
     tg = rp.build_time_grid(2.0, 0.01)
     values, means = [], []
     for level in (0.25, 0.5, 1.0):
-        spec = rp.with_psi(replace(rp.make_paper_spec(False), horizon=2.0),
-                           **{axis: level})
+        fields = ("psi1", "psi2") if axis == "psi" else (axis,)
+        spec = replace(rp.make_paper_spec(False), horizon=2.0,
+                       **dict.fromkeys(fields, level))
         res = rp.solve_backward(spec, mesh, tg)
         values.append(res.final_value.values)
         means.append(res.ergodic.E_mean)
