@@ -14,8 +14,8 @@ from .local_ops import lambda_field, q_field
 from .mc import (JumpSampler, PathBatch, SimConfig, ValueEstimate,
                  make_jump_sampler, simulate_paths, simulate_value)
 from .model import (JumpDensity, ProblemSpec, TabulatedFunction, ValidationResult,
-                    make_paper_spec, point_mass_density, tabulated,
-                    tabulated_density, uniform_density, validate_spec)
+                    make_paper_spec, tabulated, tabulated_density,
+                    uniform_density, validate_spec)
 from .solver import (ControlField, ControlTable, ErgodicReport, PolicyConfig,
                      PolicyIterationError, SchemeError, SingularSystemError,
                      Snapshot, SolveResult, TridiagonalSystem, ValueField,
@@ -33,8 +33,8 @@ __all__ = [
     "JumpSampler", "PathBatch", "SimConfig", "ValueEstimate",
     "make_jump_sampler", "simulate_paths", "simulate_value",
     "JumpDensity", "ProblemSpec", "TabulatedFunction", "ValidationResult",
-    "make_paper_spec", "point_mass_density", "tabulated", "tabulated_density",
-    "uniform_density", "validate_spec",
+    "make_paper_spec", "tabulated", "tabulated_density", "uniform_density",
+    "validate_spec",
     "ControlField", "ControlTable", "ErgodicReport", "PolicyConfig",
     "PolicyIterationError", "SchemeError", "SingularSystemError", "Snapshot",
     "SolveResult", "TridiagonalSystem", "ValueField", "assemble_system",

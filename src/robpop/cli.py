@@ -306,6 +306,8 @@ def _run_sweep(cfg: RunConfig, base: ProblemSpec, out: Path, quiet: bool) -> int
     param = cfg["sweep.param"]
     values = sorted(float(v) for v in cfg["sweep.values"])
     specs = [_sweep_spec(base, param, v) for v in values]
+    if not _valid(specs):
+        return 1
     mesh, tg, solver_kw = _run_setup(cfg, base)
     workers = min(len(os.sched_getaffinity(0)), len(specs))
     results = solve_many(specs, mesh, tg, workers=workers, **solver_kw)
@@ -359,15 +361,25 @@ def _run_mc_check(cfg: RunConfig, spec: ProblemSpec, out: Path, quiet: bool) -> 
     return 0 if passed else 3
 
 
+def _valid(specs) -> bool:
+    """Validate the specs a command will solve, before it solves any of them.
+
+    Each distinct violation is reported once; a bad swept value is then a
+    usage error (exit 1) rather than a failure after the pool has run.
+    """
+    violations = dict.fromkeys(v for spec in specs
+                               for v in validate_spec(spec).violations)
+    for violation in violations:
+        print(f"invalid model: {violation}", file=sys.stderr)
+    return not violations
+
+
 def execute(cfg: RunConfig, out_dir, quiet: bool = False) -> int:
     """Dispatch one resolved run; returns the process exit code."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     spec = build_spec(cfg)
-    check = validate_spec(spec)
-    if not check.ok:
-        for violation in check.violations:
-            print(f"invalid model: {violation}", file=sys.stderr)
+    if not _valid([spec]):
         return 1
     run = {"solve": _run_solve, "sweep": _run_sweep,
            "mc-check": _run_mc_check}[cfg["command"]]

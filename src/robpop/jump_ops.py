@@ -3,7 +3,8 @@
 Each mesh node gets one nonnegative weight row W[i, :] such that (W @ phi)[i]
 approximates the expectation of phi at the post-jump state: a downward jump
 maps x to (1-z)x, an upward jump maps x to z + (1-z)x, with z drawn from the
-jump-size density. Rows are renormalized to sum exactly to one so constants
+jump-size density, a piecewise-linear table sampled at the midpoints of its
+support. Rows are renormalized to sum exactly to one so constants
 pass through the expectation unchanged, which is what keeps the discrete
 operators comparison-preserving.
 
@@ -36,7 +37,6 @@ def entropy_penalty(theta):
 @dataclass(frozen=True, eq=False)
 class JumpQuadrature:
     weights: sp.csr_matrix      # (n_nodes, n_nodes), rows sum to 1
-    transform_kind: TransformKind
 
     @property
     def n_nodes(self) -> int:
@@ -46,9 +46,7 @@ class JumpQuadrature:
 def _transform(kind: TransformKind, z: np.ndarray, x: np.ndarray) -> np.ndarray:
     if kind == "down":
         return (1.0 - z) * x
-    if kind == "up":
-        return z + (1.0 - z) * x
-    raise ValueError(f"unknown transform kind {kind!r}")
+    return z + (1.0 - z) * x
 
 
 def build_jump_quadrature(mesh: Mesh, density: JumpDensity,
@@ -59,19 +57,15 @@ def build_jump_quadrature(mesh: Mesh, density: JumpDensity,
         raise ValueError("n_quad must be >= 2")
     if transform_kind not in ("down", "up"):
         raise ValueError(f"unknown transform kind {transform_kind!r}")
-    lo, hi = density.support_lo, density.support_hi
-    if not (0.0 < lo <= hi < 1.0):
-        raise ValueError("jump density support must satisfy 0 < lo <= hi < 1")
+    lo, hi = density.xs[0], density.xs[-1]
+    if not (0.0 < lo < hi < 1.0):
+        raise ValueError("jump density support must satisfy 0 < lo < hi < 1")
 
-    if density.is_point_mass:
-        z = np.asarray([lo])
-        w = np.asarray([1.0])
-    else:
-        dz = (hi - lo) / n_quad
-        z = lo + (np.arange(n_quad) + 0.5) * dz
-        w = np.asarray(density.density(z), dtype=float) * dz
-        if np.any(w < 0.0) or w.sum() <= 0.0:
-            raise ValueError("jump density must be nonnegative with positive mass")
+    dz = (hi - lo) / n_quad
+    z = lo + (np.arange(n_quad) + 0.5) * dz
+    w = density(z) * dz
+    if np.any(w < 0.0) or w.sum() <= 0.0:
+        raise ValueError("jump density must be nonnegative with positive mass")
 
     n = mesh.n_nodes
     ys = np.clip(_transform(transform_kind, z[None, :], mesh.nodes[:, None]), 0.0, 1.0)
@@ -84,7 +78,7 @@ def build_jump_quadrature(mesh: Mesh, density: JumpDensity,
                         shape=(n, n)).tocsr()
     row_sums = np.asarray(mat.sum(axis=1)).ravel()
     inv = sp.diags(1.0 / row_sums)
-    return JumpQuadrature(weights=(inv @ mat).tocsr(), transform_kind=transform_kind)
+    return JumpQuadrature(weights=(inv @ mat).tocsr())
 
 
 def apply_expectation(quad: JumpQuadrature, phi: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@ Paths follow the distorted dynamics directly: Euler-Maruyama on the
 continuous part with drift a(x) r(q) + sigma lambda a(x) + gamma1 -
 (gamma0+gamma1) x and diffusion sigma a(x), state projected back into [0, 1]
 after every increment, and distorted jumps simulated by thinning (candidates
-at rate nu * theta_max, accepted with probability theta(t, x)/theta_max).
+at rate nu * theta_max, accepted with probability theta(t, x)/theta_max,
+sizes drawn by inverse CDF from the jump-density table).
 The running cost f(x) + h(q) - lambda^2/(2 psi0) - sum_i (nu_i/psi_i)
 (theta_i ln theta_i + 1 - theta_i) is integrated with the left-endpoint
 rule; control values come from the nearest PDE time slice, linearly
@@ -64,32 +65,24 @@ class PathBatch:
 
 @dataclass(frozen=True, eq=False)
 class JumpSampler:
-    zs: np.ndarray | None
-    cdf: np.ndarray | None
-    point: float | None
+    zs: np.ndarray
+    cdf: np.ndarray
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
-        if self.point is not None:
-            if size is None:
-                return self.point
-            return np.full(size, self.point)
-        u = rng.uniform(size=size)
-        return np.interp(u, self.cdf, self.zs)
+        return np.interp(rng.uniform(size=size), self.cdf, self.zs)
 
 
 def make_jump_sampler(density: JumpDensity, n_grid: int = 4097) -> JumpSampler:
     """Inverse-CDF sampler on a fine grid (exact for uniform densities)."""
-    if density.is_point_mass:
-        return JumpSampler(zs=None, cdf=None, point=float(density.support_lo))
-    zs = np.linspace(density.support_lo, density.support_hi, n_grid)
-    pdf = np.asarray(density.density(zs), dtype=float)
+    zs = np.linspace(density.xs[0], density.xs[-1], n_grid)
+    pdf = density(zs)
     if np.any(pdf < 0.0):
         raise ValueError("jump density must be nonnegative")
     increments = 0.5 * (pdf[1:] + pdf[:-1]) * np.diff(zs)
     cdf = np.concatenate(([0.0], np.cumsum(increments)))
     if cdf[-1] <= 0.0:
         raise ValueError("jump density must have positive mass")
-    return JumpSampler(zs=zs, cdf=cdf / cdf[-1], point=None)
+    return JumpSampler(zs=zs, cdf=cdf / cdf[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,10 @@ the noise magnitudes, migration intensities, jump intensities and densities,
 ambiguity-aversion weights, control bounds, the horizon, and the coefficient
 functions (density-dependent growth, controlled growth rate, control cost,
 disutility). Specs are immutable and safe to share across concurrent solves.
+
+A jump-size density is one type, a piecewise-linear table of mass one on a
+support strictly inside (0, 1); uniform densities are its two-knot case.
+Validation checks such a table exactly at its knots, without sampling it.
 """
 
 from __future__ import annotations
@@ -79,81 +83,43 @@ def tabulated(points) -> TabulatedFunction:
     return TabulatedFunction(xs=pts[order, 0], ys=pts[order, 1])
 
 
-@dataclass(frozen=True, eq=False)
-class UniformPdf:
-    lo: float
-    hi: float
-
-    def __call__(self, z):
-        z = np.asarray(z, dtype=float)
-        inside = (z >= self.lo) & (z <= self.hi)
-        return np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
-
-
 # ---------------------------------------------------------------------------
 # jump densities
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class JumpDensity:
-    """Jump-size density with compact support strictly inside (0, 1).
+class JumpDensity(TabulatedFunction):
+    """Jump-size density: a piecewise-linear table (xs, ys) of mass one.
 
-    support_lo == support_hi denotes a point mass (used for deterministic
-    jump sizes, mainly in tests).
+    Its support is [xs[0], xs[-1]], strictly inside (0, 1).
     """
-
-    support_lo: float
-    support_hi: float
-    density: Coefficient
-
-    @property
-    def is_point_mass(self) -> bool:
-        return self.support_lo == self.support_hi
 
 
 def uniform_density(lo: float = 0.1, hi: float = 0.9) -> JumpDensity:
+    """Two-knot table of the uniform density on [lo, hi]."""
     if not (0.0 < lo < hi < 1.0):
         raise ValueError("uniform density needs 0 < lo < hi < 1")
-    return JumpDensity(support_lo=lo, support_hi=hi, density=UniformPdf(lo, hi))
-
-
-@dataclass(frozen=True, eq=False)
-class PointPdf:
-    z: float
-
-    def __call__(self, zz):
-        raise ValueError("a point mass has no density function")
-
-
-def point_mass_density(z: float) -> JumpDensity:
-    if not (0.0 < z < 1.0):
-        raise ValueError("point mass must sit strictly inside (0, 1)")
-    return JumpDensity(support_lo=z, support_hi=z, density=PointPdf(z))
+    c = 1.0 / (hi - lo)
+    return JumpDensity(xs=np.asarray([lo, hi], dtype=float),
+                       ys=np.asarray([c, c]))
 
 
 def tabulated_density(points) -> JumpDensity:
     """Piecewise-linear density through (z, weight) samples, normalized to mass one."""
     fn = tabulated(points)
-    lo, hi = float(fn.xs[0]), float(fn.xs[-1])
-    if not (0.0 < lo < hi < 1.0):
+    if not (0.0 < fn.xs[0] < fn.xs[-1] < 1.0):
         raise ValueError("density support must satisfy 0 < lo < hi < 1")
     if np.any(fn.ys < 0.0):
         raise ValueError("density samples must be nonnegative")
     mass = np.trapezoid(fn.ys, fn.xs)
     if mass <= 0.0:
         raise ValueError("density must have positive mass")
-    return JumpDensity(support_lo=lo, support_hi=hi,
-                       density=TabulatedFunction(fn.xs, fn.ys / mass))
+    return JumpDensity(xs=fn.xs, ys=fn.ys / mass)
 
 
-def density_mass(density: JumpDensity, n_points: int = 200_001) -> float:
-    """Midpoint-rule mass of the density over its support."""
-    if density.is_point_mass:
-        return 1.0
-    lo, hi = density.support_lo, density.support_hi
-    dz = (hi - lo) / n_points
-    z = lo + (np.arange(n_points) + 0.5) * dz
-    return float(np.sum(np.asarray(density.density(z), dtype=float)) * dz)
+def density_mass(density: JumpDensity) -> float:
+    """Mass of the table; the trapezoid rule is exact for piecewise-linear."""
+    return float(np.trapezoid(density.ys, density.xs))
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +197,6 @@ class ValidationResult:
     def ok(self) -> bool:
         return not self.violations
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 _BOUNDARY_TOL = 1e-12
 _NONNEGATIVE = ("sigma", "gamma0", "gamma1", "nu1", "nu2")
@@ -242,16 +205,13 @@ _POSITIVE = ("psi0", "psi1", "psi2", "lambda_max", "theta_max", "q_max",
 
 
 def _check_density(name: str, density: JumpDensity, out: list[str]) -> None:
-    lo, hi = density.support_lo, density.support_hi
-    if not (0.0 < lo <= hi < 1.0):
-        out.append(f"{name}: support must satisfy 0 < lo <= hi < 1")
+    xs, ys = density.xs, density.ys
+    if not (0.0 < xs[0] < xs[-1] < 1.0 and np.all(np.diff(xs) >= 0.0)):
+        out.append(f"{name}: knots must ascend with support 0 < lo < hi < 1")
         return
-    if density.is_point_mass:
+    if not np.all((ys >= 0.0) & np.isfinite(ys)):
+        out.append(f"{name}: density must be finite and nonnegative at its knots")
         return
-    z = np.linspace(lo, hi, 501)
-    vals = np.asarray(density.density(z), dtype=float)
-    if np.any(vals < 0.0):
-        out.append(f"{name}: density takes negative values on its support")
     mass = density_mass(density)
     if abs(mass - 1.0) > 1e-10:
         out.append(f"{name}: density mass is {mass:.15g}, expected 1 within 1e-10")

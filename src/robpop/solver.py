@@ -100,14 +100,6 @@ class ControlTable:
     def spacing(self) -> float:
         return float(self.times[1] - self.times[0]) if self.times.size > 1 else 0.0
 
-    @classmethod
-    def constant(cls, nodes: np.ndarray, q: float, lam: float, theta1: float,
-                 theta2: float, time: float = 0.0) -> "ControlTable":
-        n = len(nodes)
-        one = np.ones((1, n))
-        return cls(times=np.asarray([time]), nodes=np.asarray(nodes, dtype=float),
-                   q=q * one, lam=lam * one, theta1=theta1 * one, theta2=theta2 * one)
-
 
 @dataclass
 class SolveResult:

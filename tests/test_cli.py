@@ -92,7 +92,7 @@ def test_build_spec_from_tables():
     })
     spec = build_spec(cfg)
     assert float(spec.growth_a(0.25)) == pytest.approx(0.125)
-    assert spec.jump_density_1.support_lo == 0.2
+    assert spec.jump_density_1.xs[0] == 0.2
 
 
 def test_build_spec_rejects_unknown_preset_name():
@@ -105,13 +105,11 @@ def test_cli_preset_matches_library_preset(preset):
     # the acceptance suite solves make_paper_spec; CLI users get build_spec
     library = make_paper_spec(with_control=preset == "controlled")
     cli_spec = build_spec(resolve_config({"preset": preset}))
-    z = np.linspace(0.0, 1.0, 101)
     for field in dataclasses.fields(library):
         want, got = getattr(library, field.name), getattr(cli_spec, field.name)
         if isinstance(want, JumpDensity):
-            assert (got.support_lo, got.support_hi) == (want.support_lo,
-                                                        want.support_hi)
-            np.testing.assert_array_equal(got.density(z), want.density(z))
+            np.testing.assert_array_equal(got.xs, want.xs)
+            np.testing.assert_array_equal(got.ys, want.ys)
         else:
             assert got == want, field.name
 
@@ -230,6 +228,19 @@ def test_sweep_rows_sorted_with_expected_columns(tmp_path):
     assert values == [0.25, 0.5, 1.0]
     e_means = [float(line.split(",")[1]) for line in lines[2:]]
     assert e_means == sorted(e_means)
+
+
+def test_sweep_rejects_invalid_swept_value_before_solving(tmp_path,
+                                                          monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("solve_many called with an invalid spec")
+    monkeypatch.setattr("robpop.cli.solve_many", never)
+    text = (TINY + "; command = 'sweep'; sweep.param = 'sigma'; "
+            "sweep.values = [1.0, 0.5, -1.0]")
+    code, _ = run_cli(tmp_path, text)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "invalid model:" in err and "sigma" in err
 
 
 def test_sweep_joint_psi_axis(tmp_path):

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import xlogy
 
 from robpop.grid import build_mesh
-from robpop.jump_ops import (apply_expectation, apply_nonlocal,
+from robpop.jump_ops import (JumpQuadrature, apply_expectation, apply_nonlocal,
                              build_jump_quadrature, entropy_penalty)
-from robpop.model import point_mass_density, uniform_density
+from robpop.model import uniform_density
 
 
 def brute_force_distorted_jump(delta, nu, psi, theta_grid):
@@ -93,10 +94,11 @@ def test_nonlocal_closed_form_hand_value(mesh):
 
 
 def test_theta_star_half_at_two_log_two():
-    # engineered gap: point mass at z=0.5 puts the down expectation of the
-    # node x=1 entirely on x=0.5
-    mesh = build_mesh(2)
-    quad = build_jump_quadrature(mesh, point_mass_density(0.5), "down")
+    # engineered gap: jump size 0.5 with certainty puts the down expectation
+    # of the node x=1 entirely on x=0.5
+    quad = JumpQuadrature(weights=sp.csr_matrix([[1.0, 0.0, 0.0],
+                                                 [0.5, 0.5, 0.0],
+                                                 [0.0, 1.0, 0.0]]))
     phi = np.asarray([0.0, 0.0, 2.0 * np.log(2.0)])
     _, delta, theta = apply_nonlocal(quad, phi, nu=1.0, psi=0.5,
                                      theta_max=100.0)

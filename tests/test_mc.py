@@ -4,16 +4,18 @@ from dataclasses import replace
 
 import robpop as rp
 from robpop.mc import SimConfig, _nearest_indices, make_jump_sampler
-from robpop.model import (point_mass_density, tabulated, tabulated_density,
-                          uniform_density)
+from robpop.model import tabulated, tabulated_density, uniform_density
 from robpop.solver import ControlTable
 
 ZERO_FN = tabulated([[0.0, 0.0], [1.0, 0.0]])
 ONE_FN = tabulated([[0.0, 1.0], [1.0, 1.0]])
 
 
-def constant_table(q=0.0, lam=0.0, th1=1.0, th2=1.0):
-    return ControlTable.constant(rp.build_mesh(10).nodes, q, lam, th1, th2)
+def constant_table(q=0.0, lam=0.0, th1=1.0, th2=1.0,
+                   nodes=rp.build_mesh(10).nodes):
+    one = np.ones((1, nodes.size))
+    return ControlTable(times=np.zeros(1), nodes=nodes, q=q * one,
+                        lam=lam * one, theta1=th1 * one, theta2=th2 * one)
 
 
 # ---------------------------------------------------------------------------
@@ -26,13 +28,6 @@ def test_uniform_jump_sample_mean(rng):
     # CLT bound: 4 * (0.8 / sqrt(12)) / 1e3
     assert abs(draws.mean() - 0.5) <= 4.0 * (0.8 / np.sqrt(12.0)) / 1e3
     assert draws.min() >= 0.1 and draws.max() <= 0.9
-
-
-def test_point_mass_always_returns_the_atom(rng):
-    density = point_mass_density(0.3)
-    assert make_jump_sampler(density).sample(rng) == 0.3
-    draws = make_jump_sampler(density).sample(rng, 100)
-    assert np.all(draws == 0.3)
 
 
 def test_samples_respect_support(rng):
@@ -188,6 +183,6 @@ def test_control_table_nearest_lookup():
 def test_rejects_control_table_on_nonuniform_nodes():
     spec = replace(rp.make_paper_spec(False), horizon=0.5)
     nodes = np.asarray([0.0, 0.1, 0.5, 1.0])
-    table = ControlTable.constant(nodes, 0.0, 0.0, 1.0, 1.0)
+    table = constant_table(nodes=nodes)
     with pytest.raises(ValueError, match="uniform"):
         rp.simulate_value(spec, table, SimConfig(dt_sim=0.01, n_paths=4))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robpop.model import (density_mass, make_paper_spec, point_mass_density,
+from robpop.model import (JumpDensity, density_mass, make_paper_spec,
                           tabulated, tabulated_density, uniform_density,
                           validate_spec)
 from dataclasses import replace
@@ -101,10 +101,21 @@ def test_tabulated_density_rejects_bad_support():
         tabulated_density([[0.2, -1.0], [0.5, 1.0]])
 
 
-def test_point_mass_density():
-    density = point_mass_density(0.3)
-    assert density.is_point_mass
-    assert density.support_lo == density.support_hi == 0.3
+@pytest.mark.parametrize("xs, ys, named", [
+    ([0.2, 0.4], [-1.0, 11.0], "nonnegative"),        # mass one, negative knot
+    ([0.2, 0.4], [float("nan"), 5.0], "finite"),
+    ([0.2, 0.4], [5.0, float("inf")], "finite"),
+    ([0.2, 0.4], [1.0, 1.0], "mass is 0.2"),
+    ([0.3, 0.3], [1.0, 1.0], "support"),                # a point mass
+    ([0.0, 0.5], [2.0, 2.0], "support"),
+    ([0.2, 0.6, 0.4], [2.5, 2.5, 2.5], "ascend"),
+])
+def test_validation_flags_bad_density_table(xs, ys, named):
+    density = JumpDensity(xs=np.asarray(xs), ys=np.asarray(ys))
+    result = validate_spec(replace(make_paper_spec(False),
+                                   jump_density_2=density))
+    assert [v for v in result.violations
+            if v.startswith("jump_density_2") and named in v]
 
 
 def test_tabulated_sorts_samples():
