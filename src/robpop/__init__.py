@@ -13,7 +13,7 @@ from .jump_ops import (JumpQuadrature, apply_expectation, apply_nonlocal,
 from .local_ops import lambda_field, q_field
 from .mc import (JumpSampler, PathBatch, SimConfig, ValueEstimate,
                  make_jump_sampler, simulate_paths, simulate_value)
-from .model import (JumpDensity, ProblemSpec, TabulatedFunction, ValidationResult,
+from .model import (JumpDensity, ProblemSpec, TabulatedFunction,
                     make_paper_spec, tabulated, tabulated_density,
                     uniform_density, validate_spec)
 from .solver import (ControlField, ControlTable, ErgodicReport, PolicyConfig,
@@ -32,9 +32,8 @@ __all__ = [
     "lambda_field", "q_field",
     "JumpSampler", "PathBatch", "SimConfig", "ValueEstimate",
     "make_jump_sampler", "simulate_paths", "simulate_value",
-    "JumpDensity", "ProblemSpec", "TabulatedFunction", "ValidationResult",
-    "make_paper_spec", "tabulated", "tabulated_density", "uniform_density",
-    "validate_spec",
+    "JumpDensity", "ProblemSpec", "TabulatedFunction", "make_paper_spec",
+    "tabulated", "tabulated_density", "uniform_density", "validate_spec",
     "ControlField", "ControlTable", "ErgodicReport", "PolicyConfig",
     "PolicyIterationError", "SchemeError", "SingularSystemError", "Snapshot",
     "SolveResult", "TridiagonalSystem", "ValueField", "assemble_system",

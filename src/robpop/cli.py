@@ -44,11 +44,14 @@ class ConfigError(ValueError):
     pass
 
 
-GROWTH_PRESETS = {"logistic": logistic_growth}
-RATE_PRESETS = {"one": unit_rate, "one_minus_q": declining_rate,
-                "zero": zero_rate}
-COST_PRESETS = {"zero": zero_cost, "tenth_q": tenth_cost}
-DISUTILITY_PRESETS = {"tent": tent_disutility}
+# spec coefficient -> its named presets; the config key is "model." + name
+COEFFICIENT_PRESETS = {
+    "growth_a": {"logistic": logistic_growth},
+    "growth_rate_r": {"one": unit_rate, "one_minus_q": declining_rate,
+                      "zero": zero_rate},
+    "cost_h": {"zero": zero_cost, "tenth_q": tenth_cost},
+    "disutility_f": {"tent": tent_disutility},
+}
 
 SWEEPABLE = ("psi0", "psi1", "psi2", "psi", "sigma", "gamma0", "gamma1",
              "nu1", "nu2", "lambda_max", "theta_max", "q_max")
@@ -88,7 +91,6 @@ DEFAULTS: dict[str, object] = {
     "mc.n_paths": 100_000,
     "mc.seed": 0,
     "mc.start_x": 0.5,
-    "mc.start_t": 0.0,
     "mc.gate_abs": 0.02,
     "mc.chunk_size": 32_768,
 }
@@ -137,8 +139,9 @@ def resolve_config(entries: dict[str, object]) -> RunConfig:
     resolved["model.cost_h"] = "tenth_q" if preset == "controlled" else "zero"
     resolved.update(entries)
     for key, value in resolved.items():
-        if isinstance(DEFAULTS[key], int) and not isinstance(value, int):
-            raise ConfigError(f"{key} must be an integer, got {value!r}")
+        types, what = _value_type(key)
+        if not isinstance(value, types):
+            raise ConfigError(f"{key} must be {what}, got {_fmt_value(value)}")
         if not _finite(value):
             raise ConfigError(f"{key} must be finite, got {_fmt_value(value)}")
 
@@ -150,10 +153,18 @@ def resolve_config(entries: dict[str, object]) -> RunConfig:
             raise ConfigError(f"sweep.param must be one of {SWEEPABLE}")
         if not resolved["sweep.values"]:
             raise ConfigError("sweep.values must be a nonempty list")
-    if command == "mc-check" and resolved["mc.start_t"] != 0.0:
-        raise ConfigError("mc-check compares against the t = 0 slice; "
-                          "mc.start_t must be 0")
     return RunConfig(items={k: resolved[k] for k in DEFAULTS})
+
+
+def _value_type(key: str):
+    """The types a key's value may have, and how an error names them."""
+    if key.removeprefix("model.") in COEFFICIENT_PRESETS:
+        return (str, list), "a preset name or a table"
+    default = DEFAULTS[key]
+    if isinstance(default, float):
+        return (int, float), "a number"
+    return type(default), {int: "an integer", str: "a string",
+                           list: "a list"}[type(default)]
 
 
 def _finite(value) -> bool:
@@ -193,24 +204,11 @@ def _jump_density(value, name):
 def build_spec(cfg: RunConfig) -> ProblemSpec:
     it = cfg.items
     return ProblemSpec(
-        sigma=float(it["model.sigma"]),
-        gamma0=float(it["model.gamma0"]),
-        gamma1=float(it["model.gamma1"]),
-        nu1=float(it["model.nu1"]),
-        nu2=float(it["model.nu2"]),
-        psi0=float(it["model.psi0"]),
-        psi1=float(it["model.psi1"]),
-        psi2=float(it["model.psi2"]),
-        lambda_max=float(it["model.lambda_max"]),
-        theta_max=float(it["model.theta_max"]),
-        q_max=float(it["model.q_max"]),
-        horizon=float(it["model.horizon"]),
-        growth_a=_coefficient(it["model.growth_a"], GROWTH_PRESETS, "growth_a"),
-        growth_rate_r=_coefficient(it["model.growth_rate_r"], RATE_PRESETS,
-                                   "growth_rate_r"),
-        cost_h=_coefficient(it["model.cost_h"], COST_PRESETS, "cost_h"),
-        disutility_f=_coefficient(it["model.disutility_f"], DISUTILITY_PRESETS,
-                                  "disutility_f"),
+        **{name: float(it["model." + name]) for name in (
+            "sigma", "gamma0", "gamma1", "nu1", "nu2", "psi0", "psi1", "psi2",
+            "lambda_max", "theta_max", "q_max", "horizon")},
+        **{name: _coefficient(it["model." + name], presets, name)
+           for name, presets in COEFFICIENT_PRESETS.items()},
         jump_density_1=_jump_density(it["model.jump1"], "model.jump1"),
         jump_density_2=_jump_density(it["model.jump2"], "model.jump2"),
         q_grid_size=int(it["model.q_grid_size"]),
@@ -264,6 +262,11 @@ def _run_setup(cfg: RunConfig, spec: ProblemSpec):
     return mesh, tg, {"policy": policy, "n_quad": int(cfg["solver.n_quad"])}
 
 
+def _omega1(result, spec: ProblemSpec, mesh) -> list[tuple[float, float]]:
+    """Intervention intervals: where q* exceeds half the solved spec's q_max."""
+    return switching_points(result.final_controls.q_star, mesh, spec.q_max / 2)
+
+
 def _run_solve(cfg: RunConfig, spec: ProblemSpec, out: Path, quiet: bool) -> int:
     mesh, tg, solver_kw = _run_setup(cfg, spec)
     result = solve_backward(spec, mesh, tg,
@@ -280,7 +283,7 @@ def _run_solve(cfg: RunConfig, spec: ProblemSpec, out: Path, quiet: bool) -> int
                    ctrl.theta1_star, ctrl.theta2_star))
     _write_csv(out / "ergodic.csv", prov, ["E_mean", "E_spread"],
                [(result.ergodic.E_mean, result.ergodic.E_spread)])
-    intervals = switching_points(ctrl.q_star, mesh, spec.q_max / 2.0)
+    intervals = _omega1(result, spec, mesh)
     _write_csv(out / "omega1.csv", prov, ["left_x", "right_x"], intervals)
     if result.snapshots:
         _write_csv(out / "snapshots.csv", prov, ["t", "x", "phi"],
@@ -313,9 +316,8 @@ def _run_sweep(cfg: RunConfig, base: ProblemSpec, out: Path, quiet: bool) -> int
     results = solve_many(specs, mesh, tg, workers=workers, **solver_kw)
 
     rows = []
-    for v, res in zip(values, results):
-        intervals = switching_points(res.final_controls.q_star, mesh,
-                                     base.q_max / 2.0)
+    for v, spec, res in zip(values, specs, results):
+        intervals = _omega1(res, spec, mesh)
         left, right = intervals[0] if intervals else (np.nan, np.nan)
         rows.append((v, res.ergodic.E_mean, res.ergodic.E_spread,
                      res.final_value.values.min(), left, right,
@@ -340,7 +342,6 @@ def _run_mc_check(cfg: RunConfig, spec: ProblemSpec, out: Path, quiet: bool) -> 
                     n_paths=int(cfg["mc.n_paths"]),
                     master_seed=int(cfg["mc.seed"]),
                     start_x=start_x,
-                    start_t=float(cfg["mc.start_t"]),
                     chunk_size=int(cfg["mc.chunk_size"]))
     estimate = simulate_value(spec, result.control_table, sim)
     diff = abs(estimate.mean - pde_value)
@@ -368,7 +369,7 @@ def _valid(specs) -> bool:
     usage error (exit 1) rather than a failure after the pool has run.
     """
     violations = dict.fromkeys(v for spec in specs
-                               for v in validate_spec(spec).violations)
+                               for v in validate_spec(spec))
     for violation in violations:
         print(f"invalid model: {violation}", file=sys.stderr)
     return not violations

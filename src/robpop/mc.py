@@ -18,6 +18,7 @@ configurations reproduce bitwise identical estimates.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -56,7 +57,6 @@ class PathBatch:
     jumps_up: np.ndarray
     x_min: np.ndarray
     x_max: np.ndarray
-    x_final: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +221,10 @@ def simulate_paths(spec: ProblemSpec, controls: ControlTable,
         penalty = acc_pen * dt
         parts.append(PathBatch(total=disutility + penalty, disutility=disutility,
                                penalty=penalty, jumps_down=jumps_down,
-                               jumps_up=jumps_up, x_min=x_min, x_max=x_max,
-                               x_final=x))
+                               jumps_up=jumps_up, x_min=x_min, x_max=x_max))
 
-    return PathBatch(*[np.concatenate([getattr(p, name) for p in parts])
-                       for name in ("total", "disutility", "penalty",
-                                    "jumps_down", "jumps_up", "x_min", "x_max",
-                                    "x_final")])
+    return PathBatch(*[np.concatenate([getattr(p, f.name) for p in parts])
+                       for f in dataclasses.fields(PathBatch)])
 
 
 def simulate_value(spec: ProblemSpec, controls: ControlTable,

@@ -155,53 +155,26 @@ class ProblemSpec:
 def make_paper_spec(with_control: bool = False) -> ProblemSpec:
     """Benchmark configuration used throughout the numerical experiments.
 
-    sigma=1, a(x)=x(1-x), nu1=nu2=1, psi0=psi1=psi2=0.5, f=tent, T=50,
-    lambda_max=theta_max=100. With `with_control` the intervention enters via
-    r(q)=1-q at cost h(q)=0.1q on [0, 1]; otherwise r is constant 1 and h = 0
-    so the no-intervention policy is always selected. The migration
-    intensities default to gamma0=gamma1=0.1 and both jump densities to
-    uniform on [0.1, 0.9].
+    The CLI's `controlled` or `uncontrolled` preset with every other key at
+    its default, so `robpop.cli.DEFAULTS` is the one statement of its values.
+    With `with_control` the intervention enters through the `one_minus_q`
+    rate at the `tenth_q` cost; otherwise the rate is constant and the cost
+    zero, so the no-intervention policy is always selected.
     """
-    return ProblemSpec(
-        sigma=1.0,
-        gamma0=0.1,
-        gamma1=0.1,
-        nu1=1.0,
-        nu2=1.0,
-        psi0=0.5,
-        psi1=0.5,
-        psi2=0.5,
-        lambda_max=100.0,
-        theta_max=100.0,
-        q_max=1.0,
-        horizon=50.0,
-        growth_a=logistic_growth,
-        growth_rate_r=declining_rate if with_control else unit_rate,
-        cost_h=tenth_cost if with_control else zero_cost,
-        disutility_f=tent_disutility,
-        jump_density_1=uniform_density(0.1, 0.9),
-        jump_density_2=uniform_density(0.1, 0.9),
-        q_grid_size=2,
-    )
+    from .cli import build_spec, resolve_config   # cli imports this module
+    return build_spec(resolve_config(
+        {"preset": "controlled" if with_control else "uncontrolled"}))
 
 
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ValidationResult:
-    violations: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 _BOUNDARY_TOL = 1e-12
 _NONNEGATIVE = ("sigma", "gamma0", "gamma1", "nu1", "nu2")
 _POSITIVE = ("psi0", "psi1", "psi2", "lambda_max", "theta_max", "q_max",
              "horizon")
+_N_SAMPLES = 201
 
 
 def _check_density(name: str, density: JumpDensity, out: list[str]) -> None:
@@ -217,8 +190,20 @@ def _check_density(name: str, density: JumpDensity, out: list[str]) -> None:
         out.append(f"{name}: density mass is {mass:.15g}, expected 1 within 1e-10")
 
 
-def validate_spec(spec: ProblemSpec, n_samples: int = 201) -> ValidationResult:
-    """Check well-posedness; all violations are collected, none are raised."""
+def _sample_points(fn: Coefficient, lo: float, hi: float) -> np.ndarray:
+    """Even samples of [lo, hi], plus a table's knots inside it.
+
+    A piecewise-linear table is extreme at its knots or at lo and hi, so a
+    sign check on these points is exact for it.
+    """
+    pts = np.linspace(lo, hi, _N_SAMPLES)
+    if isinstance(fn, TabulatedFunction):
+        pts = np.union1d(pts, fn.xs[(fn.xs > lo) & (fn.xs < hi)])
+    return pts
+
+
+def validate_spec(spec: ProblemSpec) -> list[str]:
+    """Check well-posedness; returns every violation found, raises none."""
     v: list[str] = []
     for name in _NONNEGATIVE:
         if getattr(spec, name) < 0.0:
@@ -237,20 +222,21 @@ def validate_spec(spec: ProblemSpec, n_samples: int = 201) -> ValidationResult:
         v.append(f"growth rate must vanish at the left boundary: a(0) = {a0:.3g}")
     if not abs(a1) <= _BOUNDARY_TOL:
         v.append(f"growth rate must vanish at the right boundary: a(1) = {a1:.3g}")
-    xs = np.linspace(0.0, 1.0, n_samples)
+    xs = _sample_points(spec.growth_a, 0.0, 1.0)
     a_mid = np.asarray(spec.growth_a(xs[1:-1]), dtype=float)
     if not np.all((a_mid > 0.0) & np.isfinite(a_mid)):
         v.append("growth rate must be finite and positive on the sampled interior")
 
+    xs = _sample_points(spec.disutility_f, 0.0, 1.0)
     f_vals = np.asarray(spec.disutility_f(xs), dtype=float)
     if not np.all((f_vals >= 0.0) & np.isfinite(f_vals)):
         v.append("disutility must be finite and nonnegative on [0, 1]")
     if 0.0 < spec.q_max < math.inf:
-        qs = np.linspace(0.0, spec.q_max, n_samples)
+        qs = _sample_points(spec.cost_h, 0.0, spec.q_max)
         h_vals = np.asarray(spec.cost_h(qs), dtype=float)
         if not np.all((h_vals >= 0.0) & np.isfinite(h_vals)):
             v.append("control cost must be finite and nonnegative on [0, q_max]")
 
     _check_density("jump_density_1", spec.jump_density_1, v)
     _check_density("jump_density_2", spec.jump_density_2, v)
-    return ValidationResult(violations=v)
+    return v

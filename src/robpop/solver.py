@@ -60,7 +60,6 @@ class ControlField:
     lambda_star: np.ndarray
     theta1_star: np.ndarray
     theta2_star: np.ndarray
-    time_label: float
 
 
 @dataclass
@@ -75,14 +74,12 @@ class TridiagonalSystem:
 class ErgodicReport:
     E_mean: float
     E_spread: float
-    per_node_E: np.ndarray
 
 
 @dataclass
 class Snapshot:
     time: float
     value: ValueField
-    controls: ControlField | None
 
 
 @dataclass
@@ -108,8 +105,6 @@ class SolveResult:
     ergodic: ErgodicReport
     iteration_stats: np.ndarray
     snapshots: list[Snapshot]
-    mesh: Mesh
-    time_grid: TimeGrid
     control_table: ControlTable | None = None
 
 
@@ -284,7 +279,7 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _extract_controls(ops: SchemeOperators, phi: np.ndarray,
-                      stencil_drift: np.ndarray, time_label: float):
+                      stencil_drift: np.ndarray):
     """Pointwise optimizers at the current iterate.
 
     Returns (controls, drift, h_of_q, expectations) as `assemble_system`
@@ -300,7 +295,7 @@ def _extract_controls(ops: SchemeOperators, phi: np.ndarray,
     _, delta2, th2 = apply_nonlocal(ops.quad_up, phi, spec.nu2, spec.psi2,
                                     spec.theta_max)
     controls = ControlField(q_star=q, lambda_star=lam, theta1_star=th1,
-                            theta2_star=th2, time_label=time_label)
+                            theta2_star=th2)
     return (controls, controlled_drift(ops, r_q, lam), h_q,
             (phi - delta1, phi - delta2))
 
@@ -321,7 +316,7 @@ def step_backward(ops: SchemeOperators, dt: float, phi_next: ValueField,
 
     change, iteration = np.inf, 0
     for iteration in range(1, policy.max_iter + 1):
-        controls, drift, h_q, w = _extract_controls(ops, phi, drift, t_new)
+        controls, drift, h_q, w = _extract_controls(ops, phi, drift)
         sys = assemble_system(ops, dt, controls, phi_next.values, drift, h_q, w)
         phi_new = thomas_solve(sys)
         change = float(np.max(np.abs(phi_new - phi)))
@@ -335,7 +330,7 @@ def step_backward(ops: SchemeOperators, dt: float, phi_next: ValueField,
             residual=change, time_label=t_new)
 
     # re-extract so the reported controls are consistent with the converged slice
-    controls = _extract_controls(ops, phi, drift, t_new)[0]
+    controls = _extract_controls(ops, phi, drift)[0]
     return ValueField(values=phi, time_label=t_new), controls, iteration
 
 
@@ -352,7 +347,7 @@ def ergodic_estimate(phi_t0: ValueField, phi_t1: ValueField,
     per_node = (earlier.values - later.values) / dt
     mean = float(np.mean(per_node))
     spread = float(np.max(np.abs(per_node - mean)))
-    return ErgodicReport(E_mean=mean, E_spread=spread, per_node_E=per_node)
+    return ErgodicReport(E_mean=mean, E_spread=spread)
 
 
 def switching_points(q_field_values: np.ndarray, mesh: Mesh,
@@ -381,10 +376,9 @@ def solve_backward(spec: ProblemSpec, mesh: Mesh, time_grid: TimeGrid,
     configurations (such as zero growth everywhere) used as analytic checks.
     """
     if validate:
-        check = validate_spec(spec)
-        if not check.ok:
-            raise ValueError("invalid problem spec:\n"
-                             + "\n".join(check.violations))
+        violations = validate_spec(spec)
+        if violations:
+            raise ValueError("invalid problem spec:\n" + "\n".join(violations))
     policy = policy or PolicyConfig()
     ops = build_scheme(spec, mesh, n_quad=n_quad)
     dt = time_grid.dt
@@ -399,10 +393,7 @@ def solve_backward(spec: ProblemSpec, mesh: Mesh, time_grid: TimeGrid,
     phi = ValueField(values=np.zeros(mesh.n_nodes), time_label=time_grid.horizon)
     snapshots: list[Snapshot] = []
     if n_steps in snap_levels:
-        snapshots.append(Snapshot(time=snap_levels[n_steps],
-                                  value=ValueField(phi.values.copy(),
-                                                   phi.time_label),
-                                  controls=None))
+        snapshots.append(Snapshot(time=snap_levels[n_steps], value=phi))
     iteration_counts = np.zeros(n_steps, dtype=int)
     recorded: list[ControlField] = []
     previous = phi
@@ -414,8 +405,7 @@ def solve_backward(spec: ProblemSpec, mesh: Mesh, time_grid: TimeGrid,
         if record_controls:
             recorded.append(controls)
         if m in snap_levels:
-            snapshots.append(Snapshot(time=snap_levels[m], value=phi,
-                                      controls=controls))
+            snapshots.append(Snapshot(time=snap_levels[m], value=phi))
 
     ergodic = ergodic_estimate(phi, previous, dt)
     table = None
@@ -432,8 +422,7 @@ def solve_backward(spec: ProblemSpec, mesh: Mesh, time_grid: TimeGrid,
     snapshots.sort(key=lambda s: s.time)
     return SolveResult(final_value=phi, final_controls=controls,
                        ergodic=ergodic, iteration_stats=iteration_counts,
-                       snapshots=snapshots, mesh=mesh, time_grid=time_grid,
-                       control_table=table)
+                       snapshots=snapshots, control_table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -441,18 +430,15 @@ def solve_backward(spec: ProblemSpec, mesh: Mesh, time_grid: TimeGrid,
 # ---------------------------------------------------------------------------
 
 def _solve_job(args) -> SolveResult:
-    spec, mesh, time_grid, policy, snapshot_times, n_quad = args
-    return solve_backward(spec, mesh, time_grid, policy=policy,
-                          snapshot_times=snapshot_times, n_quad=n_quad)
+    spec, mesh, time_grid, policy, n_quad = args
+    return solve_backward(spec, mesh, time_grid, policy=policy, n_quad=n_quad)
 
 
 def solve_many(specs, mesh: Mesh, time_grid: TimeGrid,
                policy: PolicyConfig | None = None,
-               snapshot_times: tuple[float, ...] = (),
                n_quad: int = 64, workers: int = 1) -> list[SolveResult]:
     """Independent solves, optionally dispatched over a process pool."""
-    jobs = [(spec, mesh, time_grid, policy, snapshot_times, n_quad)
-            for spec in specs]
+    jobs = [(spec, mesh, time_grid, policy, n_quad) for spec in specs]
     if workers <= 1 or len(jobs) <= 1:
         return [_solve_job(job) for job in jobs]
     with concurrent.futures.ProcessPoolExecutor(

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +116,14 @@ def test_cli_preset_matches_library_preset(preset):
             assert got == want, field.name
 
 
+def test_readme_config_table_lists_exactly_the_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    first_cells = [line.split("|")[1] for line in readme.splitlines()
+                   if line.startswith("| `")]
+    keys = {key for cell in first_cells for key in re.findall(r"`([^`]+)`", cell)}
+    assert keys == set(DEFAULTS)
+
+
 def test_resolution_rejects_nonfinite_and_noninteger_values():
     with pytest.raises(ConfigError, match="finite"):
         resolve_config({"model.jump1": [[0.2, 1.0], [0.5, float("inf")]]})
@@ -190,6 +200,27 @@ def test_invalid_model_exits_one(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("statement, bad_key", [
+    ("snapshot_times = 5.0", "snapshot_times"),
+    ("command = 'sweep'; sweep.param = 'psi0'; sweep.values = 3",
+     "sweep.values"),
+    ("model.sigma = 1", None),          # a float key accepts an int
+])
+def test_value_must_have_the_type_of_its_default(tmp_path, capsys, statement,
+                                                 bad_key):
+    code, _ = run_cli(tmp_path, TINY + "; " + statement)
+    assert code == (1 if bad_key else 0)
+    if bad_key:
+        assert f"{bad_key} must be a list" in capsys.readouterr().err
+
+
+def test_coefficient_table_negative_between_samples_exits_one(tmp_path, capsys):
+    code, _ = run_cli(tmp_path, TINY + "; model.disutility_f = [[0.0, 1.0], "
+                      "[0.0025, -5.0], [0.005, 1.0], [1.0, 1.0]]")
+    assert code == 1
+    assert "invalid model: disutility" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("statement", ["model.sigma = 1e999",
                                        "solver.tol = -1e999",
                                        "model.q_grid_size = 2.5"])
@@ -243,6 +274,24 @@ def test_sweep_rejects_invalid_swept_value_before_solving(tmp_path,
     assert "invalid model:" in err and "sigma" in err
 
 
+def test_sweep_omega1_uses_each_swept_q_max(tmp_path):
+    # q* = q_max on the intervention region, so a threshold of half the base
+    # q_max = 1 would miss the region of the q_max = 0.5 row
+    controlled = TINY.replace("'uncontrolled'", "'controlled'")
+    code, out = run_cli(tmp_path, controlled + "; command = 'sweep'; "
+                        "sweep.param = 'q_max'; sweep.values = [0.5, 1.0]")
+    assert code == 0
+    rows = (out / "sweep.csv").read_text().splitlines()[2:]
+    for row in rows:
+        q_max, *_, left, right, n_intervals = row.split(",")
+        code, solved = run_cli(tmp_path, controlled + f"; model.q_max = {q_max}",
+                               name=f"solve-{q_max}")
+        assert code == 0
+        omega1 = (solved / "omega1.csv").read_text().splitlines()[2:]
+        assert int(n_intervals) == len(omega1) > 0
+        assert f"{left},{right}" == omega1[0]
+
+
 def test_sweep_joint_psi_axis(tmp_path):
     text = (TINY + "; command = 'sweep'; sweep.param = 'psi'; "
             "sweep.values = [0.25, 1.0]")
@@ -277,6 +326,7 @@ def test_mc_check_gate_failure_exits_three(tmp_path):
     assert code == 3
 
 
-def test_mc_check_requires_zero_start_time(tmp_path):
-    code, _ = run_cli(tmp_path, MC_TINY + "; mc.start_t = 0.1")
+def test_old_provenance_with_mc_start_t_exits_one(tmp_path):
+    # builds before mc.start_t was removed wrote "mc.start_t = 0.0"
+    code, _ = run_cli(tmp_path, MC_TINY + "; mc.start_t = 0.0")
     assert code == 1

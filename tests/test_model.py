@@ -38,27 +38,27 @@ def test_preset_growth_profile(with_control):
 
 @pytest.mark.parametrize("with_control", [False, True])
 def test_presets_validate(with_control):
-    assert validate_spec(make_paper_spec(with_control)).ok
+    assert validate_spec(make_paper_spec(with_control)) == []
 
 
 def test_validation_flags_nonvanishing_growth_at_boundary():
     bad = replace(make_paper_spec(False), growth_a=tabulated([[0, 0], [1, 1]]))
-    result = validate_spec(bad)
-    assert not result.ok
-    assert any("a(1)" in v for v in result.violations)
+    violations = validate_spec(bad)
+    assert violations
+    assert any("a(1)" in v for v in violations)
 
 
 def test_validation_flags_negative_psi0():
     bad = replace(make_paper_spec(False), psi0=-0.5)
-    result = validate_spec(bad)
-    assert not result.ok
-    assert any("psi0" in v for v in result.violations)
+    violations = validate_spec(bad)
+    assert violations
+    assert any("psi0" in v for v in violations)
 
 
 def test_validation_flags_negative_disutility():
     bad = replace(make_paper_spec(False),
                   disutility_f=tabulated([[0, -1], [1, 1]]))
-    assert not validate_spec(bad).ok
+    assert validate_spec(bad)
 
 
 @pytest.mark.parametrize("field, value, named", [
@@ -69,15 +69,14 @@ def test_validation_flags_negative_disutility():
     ("disutility_f", tabulated([[0.0, float("inf")], [1.0, 1.0]]), "disutility"),
 ])
 def test_validation_flags_nonfinite_and_noninteger_values(field, value, named):
-    result = validate_spec(replace(make_paper_spec(False), **{field: value}))
-    assert not result.ok
-    assert any(named in v for v in result.violations)
+    violations = validate_spec(replace(make_paper_spec(False), **{field: value}))
+    assert violations
+    assert any(named in v for v in violations)
 
 
 def test_validation_collects_multiple_violations():
     bad = replace(make_paper_spec(False), psi0=-1.0, sigma=-2.0)
-    result = validate_spec(bad)
-    assert len(result.violations) >= 2
+    assert len(validate_spec(bad)) >= 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -91,7 +90,7 @@ def test_tabulated_density_is_normalized():
     density = tabulated_density([[0.2, 1.0], [0.5, 3.0], [0.8, 0.5]])
     assert density_mass(density) == pytest.approx(1.0, abs=1e-10)
     assert validate_spec(
-        replace(make_paper_spec(False), jump_density_1=density)).ok
+        replace(make_paper_spec(False), jump_density_1=density)) == []
 
 
 def test_tabulated_density_rejects_bad_support():
@@ -112,10 +111,26 @@ def test_tabulated_density_rejects_bad_support():
 ])
 def test_validation_flags_bad_density_table(xs, ys, named):
     density = JumpDensity(xs=np.asarray(xs), ys=np.asarray(ys))
-    result = validate_spec(replace(make_paper_spec(False),
-                                   jump_density_2=density))
-    assert [v for v in result.violations
+    violations = validate_spec(replace(make_paper_spec(False),
+                                       jump_density_2=density))
+    assert [v for v in violations
             if v.startswith("jump_density_2") and named in v]
+
+
+@pytest.mark.parametrize("field, points, named", [
+    ("disutility_f", [[0.0, 1.0], [0.0025, -5.0], [0.005, 1.0], [1.0, 1.0]],
+     "disutility"),
+    ("growth_a", [[0.0, 0.0], [0.5, 0.25], [0.5025, -0.1], [0.505, 0.25],
+                  [1.0, 0.0]], "growth rate"),
+    ("cost_h", [[0.0, 0.0], [0.0025, -1.0], [0.005, 0.0], [1.0, 0.1]],
+     "control cost"),
+])
+def test_validation_checks_coefficient_tables_at_their_knots(field, points,
+                                                             named):
+    # each table is negative only between two neighbouring even samples
+    violations = validate_spec(replace(make_paper_spec(True),
+                                       **{field: tabulated(points)}))
+    assert any(named in v for v in violations)
 
 
 def test_tabulated_sorts_samples():

@@ -17,10 +17,9 @@ from conftest import reference_handoff
 ZERO_FN = tabulated([[0.0, 0.0], [1.0, 0.0]])
 
 
-def neutral_controls(n, time_label=0.0):
+def neutral_controls(n):
     return ControlField(q_star=np.zeros(n), lambda_star=np.zeros(n),
-                        theta1_star=np.ones(n), theta2_star=np.ones(n),
-                        time_label=time_label)
+                        theta1_star=np.ones(n), theta2_star=np.ones(n))
 
 
 def assemble_at(ops, dt, controls, phi_next, phi_lagged):
@@ -142,8 +141,7 @@ def test_assembled_rows_are_m_matrix_rows():
     controls = ControlField(q_star=rng.choice([0.0, 1.0], n),
                             lambda_star=rng.uniform(-1.0, 1.0, n),
                             theta1_star=rng.uniform(0.2, 2.0, n),
-                            theta2_star=rng.uniform(0.2, 2.0, n),
-                            time_label=0.0)
+                            theta2_star=rng.uniform(0.2, 2.0, n))
     dt = 0.005
     sys = assemble_at(ops, dt, controls, phi, phi)
     assert np.all(sys.lower <= 1e-12)
@@ -171,8 +169,7 @@ def test_extraction_hands_assembly_what_it_would_evaluate():
     ops = build_scheme(spec, rp.build_mesh(200))
     x = ops.mesh.nodes
     phi = 4.0 * (x - 0.5) ** 2 + 0.1 * np.sin(9.0 * x)
-    controls, drift, h_q, (w1, w2) = _extract_controls(ops, phi, ops.first_drift,
-                                                       0.0)
+    controls, drift, h_q, (w1, w2) = _extract_controls(ops, phi, ops.first_drift)
     assert set(controls.q_star.tolist()) == {0.0, 0.5, 1.0}
     ref_drift, ref_h, (ref_w1, ref_w2) = reference_handoff(ops, controls, phi)
     assert np.array_equal(drift, ref_drift)
@@ -276,7 +273,6 @@ def test_solve_backward_records_snapshots():
     np.testing.assert_allclose(terminal.value.values, 0.0)
     mid = result.snapshots[0]
     assert mid.value.time_label == pytest.approx(0.5)
-    assert mid.controls is not None
 
 
 def test_value_bounds_on_benchmark_shape_problem():
