@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
 """Reproduce the benchmark experiments end to end.
 
-Runs, at the benchmark resolution (500 cells, dt = 0.005, T = 50):
+Runs the shipped configs under configs/ at the benchmark resolution
+(500 cells, dt = 0.005, T = 50):
 
   * the uncontrolled and controlled solves (value, controls, ergodic
     constant, intervention region),
   * the mirror-symmetric variant (zero deterministic growth),
   * ambiguity sweeps over psi0 and over the joint jump weight psi for both
-    presets,
+    presets (sweep_psi0.txt with `preset` and `sweep.param` overridden),
   * the Monte Carlo cross-check at the truncated horizon T = 2.
 
 Each run lands in its own subdirectory under --out. Full resolution takes
-several minutes on two cores; --quick drops to a desk-scale resolution for a
-fast end-to-end smoke run.
+several minutes on two cores; --quick drops to a desk-scale resolution (and
+10 000 Monte Carlo paths) for a fast end-to-end smoke run.
 """
 
 from __future__ import annotations
@@ -22,11 +23,13 @@ from pathlib import Path
 
 from robpop.cli import execute, parse_config_text, resolve_config
 
-SWEEP_VALUES = "[0.25, 0.5, 1.0, 2.0]"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 QUICK_SCALE = "model.horizon = 5.0; mesh.n_cells = 100; time.dt = 0.01"
 
 
-def run(name: str, text: str, out_root: Path) -> None:
+def run(name: str, config: str, overrides: str, out_root: Path) -> None:
+    """Run configs/<config> with the override statements applied after it."""
+    text = f"{(CONFIGS / config).read_text()}\n{overrides}"
     cfg = resolve_config(parse_config_text(text))
     out = out_root / name
     print(f"== {name}")
@@ -43,27 +46,18 @@ def main() -> int:
                         help="desk-scale resolution for a fast smoke run")
     args = parser.parse_args()
     out_root = Path(args.out)
+    scale = QUICK_SCALE if args.quick else ""
 
-    def scaled(text: str) -> str:
-        return f"{text}; {QUICK_SCALE}" if args.quick else text
-
-    run("uncontrolled", scaled("preset = 'uncontrolled'"), out_root)
-    run("controlled", scaled("preset = 'controlled'"), out_root)
-    run("symmetric",
-        scaled("preset = 'uncontrolled'; model.growth_rate_r = 'zero'"),
-        out_root)
+    run("uncontrolled", "solve_uncontrolled.txt", scale, out_root)
+    run("controlled", "solve_controlled.txt", scale, out_root)
+    run("symmetric", "solve_symmetric.txt", scale, out_root)
     for preset in ("uncontrolled", "controlled"):
         for axis in ("psi0", "psi"):
-            run(f"sweep_{axis}_{preset}",
-                scaled(f"preset = '{preset}'; command = 'sweep'; "
-                       f"sweep.param = '{axis}'; "
-                       f"sweep.values = {SWEEP_VALUES}"),
+            run(f"sweep_{axis}_{preset}", "sweep_psi0.txt",
+                f"preset = '{preset}'; sweep.param = '{axis}'; {scale}",
                 out_root)
-    n_paths = 10_000 if args.quick else 100_000
-    run("mc_check",
-        "command = 'mc-check'; model.horizon = 2.0; mesh.n_cells = 200; "
-        f"time.dt = 0.005; mc.n_paths = {n_paths}; mc.seed = 2024",
-        out_root)
+    run("mc_check", "mc_check.txt",
+        "mc.n_paths = 10000" if args.quick else "", out_root)
     print(f"all artifacts under {out_root}")
     return 0
 

@@ -53,6 +53,8 @@ COEFFICIENT_PRESETS = {
     "disutility_f": {"tent": tent_disutility},
 }
 
+NUMBER_LISTS = ("snapshot_times", "sweep.values")
+
 SWEEPABLE = ("psi0", "psi1", "psi2", "psi", "sigma", "gamma0", "gamma1",
              "nu1", "nu2", "lambda_max", "theta_max", "q_max")
 
@@ -140,7 +142,9 @@ def resolve_config(entries: dict[str, object]) -> RunConfig:
     resolved.update(entries)
     for key, value in resolved.items():
         types, what = _value_type(key)
-        if not isinstance(value, types):
+        if not isinstance(value, types) or (
+                key in NUMBER_LISTS
+                and not all(isinstance(v, (int, float)) for v in value)):
             raise ConfigError(f"{key} must be {what}, got {_fmt_value(value)}")
         if not _finite(value):
             raise ConfigError(f"{key} must be finite, got {_fmt_value(value)}")
@@ -160,6 +164,8 @@ def _value_type(key: str):
     """The types a key's value may have, and how an error names them."""
     if key.removeprefix("model.") in COEFFICIENT_PRESETS:
         return (str, list), "a preset name or a table"
+    if key in NUMBER_LISTS:
+        return list, "a list of numbers"
     default = DEFAULTS[key]
     if isinstance(default, float):
         return (int, float), "a number"

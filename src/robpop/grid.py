@@ -28,6 +28,15 @@ class TimeGrid:
     horizon: float
     n_steps: int
 
+    def level(self, t: float) -> int:
+        """The m with m * dt = t, under the tolerance of `build_time_grid`."""
+        m = int(round(t / self.dt))
+        if (not 0 <= m <= self.n_steps
+                or abs(m * self.dt - t) > 1e-10 * self.horizon):
+            raise ValueError(f"time {t} is not a level m * {self.dt} of the "
+                             f"time grid, 0 <= m <= {self.n_steps}")
+        return m
+
 
 def build_mesh(n_cells: int) -> Mesh:
     if n_cells < 2:

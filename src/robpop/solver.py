@@ -8,7 +8,11 @@ One backward step solves, by policy iteration, the discrete equation
 where D = sigma^2 a^2 / 2, b = gamma1 - (gamma0+gamma1)x + (r(q) + sigma
 lambda) a, and W1, W2 are the jump-expectation quadratures. The drift is
 discretized centrally wherever 2D/dx >= |b| and upwind along b otherwise, so
-every assembled row is an M-matrix row. The jump expectations are lagged at
+every assembled row is an M-matrix row. The nodes x = 0 and x = 1 take the
+upwind row like any other node and no boundary condition is imposed: a
+vanishes there, so D = 0 and the drift b(0) = gamma1 >= 0, b(1) = -gamma0 <= 0
+points inward. Assembly checks the M-matrix structure of every row, the
+couplings past both ends included. The jump expectations are lagged at
 the current policy iterate, which keeps every linear solve tridiagonal; the
 local parts nu theta phi stay implicit.
 """
@@ -175,10 +179,8 @@ def _gradient(ops: SchemeOperators, phi: np.ndarray,
     bwd[1:] = diffs
     bwd[0] = diffs[0]
     cen = 0.5 * (fwd + bwd)
-    p = np.where(_central_mask(ops, drift), cen, np.where(drift > 0.0, fwd, bwd))
-    p[0] = fwd[0]
-    p[-1] = bwd[-1]
-    return p
+    return np.where(_central_mask(ops, drift), cen,
+                    np.where(drift > 0.0, fwd, bwd))
 
 
 def assemble_system(ops: SchemeOperators, dt: float, controls: ControlField,
@@ -192,39 +194,29 @@ def assemble_system(ops: SchemeOperators, dt: float, controls: ControlField,
     it evaluates no spec coefficient and no quadrature. Checks every row.
     """
     spec = ops.spec
-    mesh = ops.mesh
-    n = mesh.n_nodes
-    dx = mesh.dx
-    D = ops.diffusion
+    dx = ops.mesh.dx
     th1 = controls.theta1_star
     th2 = controls.theta2_star
     lam = controls.lambda_star
 
     central = _central_mask(ops, drift)
-    b_plus = np.maximum(drift, 0.0)
-    b_minus = np.minimum(drift, 0.0)
-
-    Dxx = D / dx ** 2
-    low_central = -(Dxx - drift / (2.0 * dx))
-    up_central = -(Dxx + drift / (2.0 * dx))
-    low_upwind = -Dxx + b_minus / dx
-    up_upwind = -Dxx - b_plus / dx
-    row_low = np.where(central, low_central, low_upwind)
-    row_up = np.where(central, up_central, up_upwind)
+    Dxx = ops.diffusion / dx ** 2
+    # full-length rows: row_low[0] and row_up[-1] couple past x = 0 and x = 1
+    # and drop out of the system, but the M-matrix check still bounds them
+    row_low = np.where(central, -(Dxx - drift / (2.0 * dx)),
+                       -Dxx + np.minimum(drift, 0.0) / dx)
+    row_up = np.where(central, -(Dxx + drift / (2.0 * dx)),
+                      -Dxx - np.maximum(drift, 0.0) / dx)
     row_diag = np.where(central, 2.0 * Dxx, 2.0 * Dxx + np.abs(drift) / dx)
+    diag = 1.0 / dt + spec.nu1 * th1 + spec.nu2 * th2 + row_diag
 
-    lower = np.zeros(n - 1)
-    upper = np.zeros(n - 1)
-    diag = np.full(n, 1.0 / dt) + spec.nu1 * th1 + spec.nu2 * th2
-    lower[: n - 2] = row_low[1:-1]
-    upper[1:] = row_up[1:-1]
-    diag[1:-1] += row_diag[1:-1]
-    # boundary rows: one-sided upwind, inward-pointing drift only (the
-    # diffusion degenerates there because a vanishes at 0 and 1)
-    upper[0] = -b_plus[0] / dx
-    diag[0] += b_plus[0] / dx
-    lower[-1] = b_minus[-1] / dx
-    diag[-1] += -b_minus[-1] / dx
+    slack = 1e-9 * max(float(np.max(diag)), 1.0)
+    # written as "not all within bound" so that a NaN entry fails the check
+    if not (np.all(row_low <= slack) and np.all(row_up <= slack)):
+        raise SchemeError("positive off-diagonal entry in assembled system")
+    if not (np.all(diag >= 1.0 / dt - slack)
+            and np.all(diag >= np.abs(row_low) + np.abs(row_up) - slack)):
+        raise SchemeError("assembled system lost diagonal dominance")
 
     w1, w2 = expectations
     source = (ops.f_vals + h_of_q
@@ -232,24 +224,8 @@ def assemble_system(ops: SchemeOperators, dt: float, controls: ControlField,
               - (spec.nu1 / spec.psi1) * entropy_penalty(th1)
               - (spec.nu2 / spec.psi2) * entropy_penalty(th2))
     rhs = phi_next / dt + source + spec.nu1 * th1 * w1 + spec.nu2 * th2 * w2
-
-    sys = TridiagonalSystem(lower=lower, diag=diag, upper=upper, rhs=rhs)
-    _check_m_matrix(sys, dt)
-    return sys
-
-
-def _check_m_matrix(sys: TridiagonalSystem, dt: float) -> None:
-    scale = max(float(np.max(sys.diag)), 1.0)
-    slack = 1e-9 * scale
-    # written as "not all within bound" so that a NaN entry fails the check
-    if not (np.all(sys.lower <= slack) and np.all(sys.upper <= slack)):
-        raise SchemeError("positive off-diagonal entry in assembled system")
-    off = np.zeros_like(sys.diag)
-    off[1:] += np.abs(sys.lower)
-    off[:-1] += np.abs(sys.upper)
-    if not (np.all(sys.diag >= 1.0 / dt - slack)
-            and np.all(sys.diag >= off - slack)):
-        raise SchemeError("assembled system lost diagonal dominance")
+    return TridiagonalSystem(lower=row_low[1:], diag=diag, upper=row_up[:-1],
+                             rhs=rhs)
 
 
 def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
@@ -386,9 +362,7 @@ def solve_backward(spec: ProblemSpec, mesh: Mesh, time_grid: TimeGrid,
 
     snap_levels = {}
     for t in snapshot_times:
-        level = int(round(t / dt))
-        if 0 <= level <= n_steps:
-            snap_levels.setdefault(level, float(t))
+        snap_levels.setdefault(time_grid.level(t), float(t))
 
     phi = ValueField(values=np.zeros(mesh.n_nodes), time_label=time_grid.horizon)
     snapshots: list[Snapshot] = []

@@ -187,6 +187,12 @@ def test_snapshot_times_emit_long_format_csv(tmp_path):
     assert times == [0.2, 0.4]
 
 
+def test_snapshot_time_off_the_time_levels_exits_one(tmp_path, capsys):
+    code, _ = run_cli(tmp_path, TINY + "; snapshot_times = [0.2, 0.123]")
+    assert code == 1
+    assert "time 0.123 is not a level" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_one(tmp_path):
     assert main(["--config", str(tmp_path / "missing.txt")]) == 1
     cfg_path = tmp_path / "bad.txt"
@@ -203,6 +209,9 @@ def test_invalid_model_exits_one(tmp_path):
 @pytest.mark.parametrize("statement, bad_key", [
     ("snapshot_times = 5.0", "snapshot_times"),
     ("command = 'sweep'; sweep.param = 'psi0'; sweep.values = 3",
+     "sweep.values"),
+    ("snapshot_times = ['a']", "snapshot_times"),
+    ("command = 'sweep'; sweep.param = 'psi0'; sweep.values = ['a']",
      "sweep.values"),
     ("model.sigma = 1", None),          # a float key accepts an int
 ])

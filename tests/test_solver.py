@@ -8,9 +8,9 @@ import robpop as rp
 from robpop.model import tabulated, zero_rate
 from robpop.solver import (ControlField, PolicyConfig, PolicyIterationError,
                            SchemeError, SingularSystemError, TridiagonalSystem,
-                           ValueField, _extract_controls, assemble_system,
-                           build_scheme, ergodic_estimate, step_backward,
-                           switching_points, thomas_solve)
+                           ValueField, _extract_controls, _gradient,
+                           assemble_system, build_scheme, ergodic_estimate,
+                           step_backward, switching_points, thomas_solve)
 
 from conftest import reference_handoff
 
@@ -153,6 +153,42 @@ def test_assembled_rows_are_m_matrix_rows():
     assert np.all(sys.diag >= off - 1e-9)
 
 
+def test_end_rows_hold_only_the_inward_drift():
+    # a vanishes at x = 0 and x = 1, so the upwind end rows carry no
+    # diffusion and couple only along b(0) = gamma1, b(1) = -gamma0
+    spec = rp.make_paper_spec(True)
+    mesh = rp.build_mesh(80)
+    ops = build_scheme(spec, mesh)
+    n, dx = mesh.n_nodes, mesh.dx
+    rng = np.random.default_rng(3)
+    phi = rng.uniform(0.0, 2.0, n)
+    controls = ControlField(q_star=rng.choice([0.0, 1.0], n),
+                            lambda_star=rng.uniform(-1.0, 1.0, n),
+                            theta1_star=rng.uniform(0.2, 2.0, n),
+                            theta2_star=rng.uniform(0.2, 2.0, n))
+    dt = 0.005
+    b, h_q, w = reference_handoff(ops, controls, phi)
+    sys = assemble_system(ops, dt, controls, phi, b, h_q, w)
+    th1, th2 = controls.theta1_star, controls.theta2_star
+    assert b[0] > 0.0 > b[-1]
+    assert sys.upper[0] == -b[0] / dx
+    assert sys.diag[0] == (1.0 / dt + spec.nu1 * th1[0] + spec.nu2 * th2[0]
+                           + b[0] / dx)
+    assert sys.lower[-1] == b[-1] / dx
+    assert sys.diag[-1] == (1.0 / dt + spec.nu1 * th1[-1] + spec.nu2 * th2[-1]
+                            - b[-1] / dx)
+
+
+@pytest.mark.parametrize("end_drift", [1.0, -1.0])
+def test_end_slopes_are_one_sided(end_drift):
+    ops = build_scheme(rp.make_paper_spec(True), rp.build_mesh(40))
+    x, dx = ops.mesh.nodes, ops.mesh.dx
+    phi = np.sin(7.0 * x) + x ** 2
+    p = _gradient(ops, phi, np.full(x.size, end_drift))
+    assert p[0] == (phi[1] - phi[0]) / dx
+    assert p[-1] == (phi[-1] - phi[-2]) / dx
+
+
 def test_m_matrix_check_rejects_nan_entries():
     ops = build_scheme(rp.make_paper_spec(False), rp.build_mesh(20))
     n = ops.mesh.n_nodes
@@ -273,6 +309,14 @@ def test_solve_backward_records_snapshots():
     np.testing.assert_allclose(terminal.value.values, 0.0)
     mid = result.snapshots[0]
     assert mid.value.time_label == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("t", [0.505, -0.1, 1.1])
+def test_snapshot_time_off_the_time_levels_raises(t):
+    spec = replace(rp.make_paper_spec(False), horizon=1.0)
+    with pytest.raises(ValueError, match=f"time {t} is not a level"):
+        rp.solve_backward(spec, rp.build_mesh(10),
+                          rp.build_time_grid(1.0, 0.1), snapshot_times=(t,))
 
 
 def test_value_bounds_on_benchmark_shape_problem():
