@@ -18,7 +18,7 @@ from .model import (JumpDensity, ProblemSpec, TabulatedFunction,
                     uniform_density, validate_spec)
 from .solver import (ControlField, ControlTable, ErgodicReport, PolicyConfig,
                      PolicyIterationError, SchemeError, SingularSystemError,
-                     Snapshot, SolveResult, TridiagonalSystem, ValueField,
+                     Snapshot, SolveResult, TridiagonalSystem,
                      assemble_system, build_scheme, ergodic_estimate,
                      solve_backward, solve_many, step_backward,
                      switching_points, thomas_solve)
@@ -36,7 +36,7 @@ __all__ = [
     "tabulated", "tabulated_density", "uniform_density", "validate_spec",
     "ControlField", "ControlTable", "ErgodicReport", "PolicyConfig",
     "PolicyIterationError", "SchemeError", "SingularSystemError", "Snapshot",
-    "SolveResult", "TridiagonalSystem", "ValueField", "assemble_system",
+    "SolveResult", "TridiagonalSystem", "assemble_system",
     "build_scheme", "ergodic_estimate", "solve_backward", "solve_many",
     "step_backward", "switching_points", "thomas_solve",
 ]

@@ -152,6 +152,9 @@ def resolve_config(entries: dict[str, object]) -> RunConfig:
     command = resolved["command"]
     if command not in ("solve", "sweep", "mc-check"):
         raise ConfigError(f"unknown command {command!r}")
+    if command != "solve" and resolved["snapshot_times"]:
+        raise ConfigError(f"snapshot_times is read only by solve, "
+                          f"not by {command}")
     if command == "sweep":
         if resolved["sweep.param"] not in SWEEPABLE:
             raise ConfigError(f"sweep.param must be one of {SWEEPABLE}")
@@ -279,7 +282,7 @@ def _run_solve(cfg: RunConfig, spec: ProblemSpec, out: Path, quiet: bool) -> int
                             snapshot_times=tuple(cfg["snapshot_times"]),
                             **solver_kw)
     prov = cfg.provenance()
-    phi = result.final_value.values
+    phi = result.final_value
     ctrl = result.final_controls
     _write_csv(out / "value.csv", prov, ["x", "phi"],
                zip(mesh.nodes, phi))
@@ -294,7 +297,7 @@ def _run_solve(cfg: RunConfig, spec: ProblemSpec, out: Path, quiet: bool) -> int
     if result.snapshots:
         _write_csv(out / "snapshots.csv", prov, ["t", "x", "phi"],
                    ((s.time, x, v) for s in result.snapshots
-                    for x, v in zip(mesh.nodes, s.value.values)))
+                    for x, v in zip(mesh.nodes, s.values)))
 
     if not quiet:
         preset = cfg["preset"]
@@ -326,7 +329,7 @@ def _run_sweep(cfg: RunConfig, base: ProblemSpec, out: Path, quiet: bool) -> int
         intervals = _omega1(res, spec, mesh)
         left, right = intervals[0] if intervals else (np.nan, np.nan)
         rows.append((v, res.ergodic.E_mean, res.ergodic.E_spread,
-                     res.final_value.values.min(), left, right,
+                     res.final_value.min(), left, right,
                      len(intervals)))
     _write_csv(out / "sweep.csv", cfg.provenance(),
                [param, "E_mean", "E_spread", "min_phi",
@@ -340,15 +343,14 @@ def _run_sweep(cfg: RunConfig, base: ProblemSpec, out: Path, quiet: bool) -> int
 
 
 def _run_mc_check(cfg: RunConfig, spec: ProblemSpec, out: Path, quiet: bool) -> int:
-    mesh, tg, solver_kw = _run_setup(cfg, spec)
-    result = solve_backward(spec, mesh, tg, record_controls=True, **solver_kw)
-    start_x = float(cfg["mc.start_x"])
-    pde_value = float(np.interp(start_x, mesh.nodes, result.final_value.values))
     sim = SimConfig(dt_sim=float(cfg["mc.dt_sim"]),
                     n_paths=int(cfg["mc.n_paths"]),
                     master_seed=int(cfg["mc.seed"]),
-                    start_x=start_x,
+                    start_x=float(cfg["mc.start_x"]),
                     chunk_size=int(cfg["mc.chunk_size"]))
+    mesh, tg, solver_kw = _run_setup(cfg, spec)
+    result = solve_backward(spec, mesh, tg, record_controls=True, **solver_kw)
+    pde_value = float(np.interp(sim.start_x, mesh.nodes, result.final_value))
     estimate = simulate_value(spec, result.control_table, sim)
     diff = abs(estimate.mean - pde_value)
     gate = 3.0 * estimate.std_err + float(cfg["mc.gate_abs"])

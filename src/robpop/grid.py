@@ -28,11 +28,18 @@ class TimeGrid:
     horizon: float
     n_steps: int
 
+    def nearest(self, ts) -> np.ndarray:
+        """The nearest level m in 0 .. n_steps of each time; ties go earlier."""
+        ts = np.asarray(ts, dtype=float)
+        lo = np.clip(np.floor(ts / self.dt), 0, self.n_steps - 1)
+        later = ts - lo * self.dt > (lo + 1) * self.dt - ts
+        return (lo + later).astype(np.int64)
+
     def level(self, t: float) -> int:
         """The m with m * dt = t, under the tolerance of `build_time_grid`."""
-        m = int(round(t / self.dt))
-        if (not 0 <= m <= self.n_steps
-                or abs(m * self.dt - t) > 1e-10 * self.horizon):
+        m = int(self.nearest(t))
+        # written as "not within bound" so that a NaN time fails the check
+        if not abs(m * self.dt - t) <= 1e-10 * self.horizon:
             raise ValueError(f"time {t} is not a level m * {self.dt} of the "
                              f"time grid, 0 <= m <= {self.n_steps}")
         return m

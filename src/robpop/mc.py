@@ -8,7 +8,7 @@ at rate nu * theta_max, accepted with probability theta(t, x)/theta_max,
 sizes drawn by inverse CDF from the jump-density table).
 The running cost f(x) + h(q) - lambda^2/(2 psi0) - sum_i (nu_i/psi_i)
 (theta_i ln theta_i + 1 - theta_i) is integrated with the left-endpoint
-rule; control values come from the nearest PDE time slice, linearly
+rule; control values come from the nearest PDE time level, linearly
 interpolated in space.
 
 Paths are processed in fixed-size chunks, each chunk driven by its own
@@ -37,6 +37,15 @@ class SimConfig:
     start_x: float = 0.5
     start_t: float = 0.0
     chunk_size: int = 32_768
+
+    def __post_init__(self):
+        # written as "not within bound" so that NaN fails
+        if not (self.dt_sim > 0.0 and self.n_paths >= 1 and self.chunk_size >= 1):
+            raise ValueError("dt_sim, n_paths, and chunk_size must be positive")
+        if not 0.0 <= self.start_x <= 1.0:
+            raise ValueError("start_x must lie in [0, 1]")
+        if not self.start_t >= 0.0:
+            raise ValueError("start_t must lie in [0, horizon)")
 
 
 @dataclass
@@ -89,27 +98,12 @@ def make_jump_sampler(density: JumpDensity, n_grid: int = 4097) -> JumpSampler:
 # path simulation
 # ---------------------------------------------------------------------------
 
-def _nearest_indices(times: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Nearest slice of the ascending `times` for each t; ties go earlier."""
-    if times.size == 1:
-        return np.zeros(ts.size, dtype=int)
-    pos = np.clip(np.searchsorted(times, ts), 1, times.size - 1)
-    left = times[pos - 1]
-    right = times[pos]
-    return np.where(ts - left <= right - ts, pos - 1, pos)
-
-
-def _make_locator(nodes: np.ndarray):
+def _make_locator(n_cells: int):
     """Cell index and fractional weight for positions in [0, 1].
 
-    Control tables live on the uniform nodes of `build_mesh`, which admits
-    direct index arithmetic; other nodes are rejected.
+    Control tables live on the uniform mesh of `build_mesh`, which admits
+    direct index arithmetic.
     """
-    n_cells = nodes.size - 1
-    gaps = np.diff(nodes)
-    if not np.allclose(gaps, gaps[0], rtol=0.0, atol=1e-12):
-        raise ValueError("control table nodes must be uniformly spaced")
-
     def locate(x):
         s = x * n_cells
         idx = np.minimum(s.astype(np.int64), n_cells - 1)
@@ -146,32 +140,26 @@ def _thin_jumps(rng, x, rate, locate, theta_row, theta_max, sampler, downward,
 def simulate_paths(spec: ProblemSpec, controls: ControlTable,
                    cfg: SimConfig) -> PathBatch:
     """Simulate all paths and return per-path integrals and diagnostics."""
-    if cfg.dt_sim <= 0.0 or cfg.n_paths < 1 or cfg.chunk_size < 1:
-        raise ValueError("dt_sim, n_paths, and chunk_size must be positive")
-    if not (0.0 <= cfg.start_x <= 1.0):
-        raise ValueError("start_x must lie in [0, 1]")
     span = spec.horizon - cfg.start_t
-    if cfg.start_t < 0.0 or span <= 0.0:
+    if not span > 0.0:
         raise ValueError("start_t must lie in [0, horizon)")
-    spacing = controls.spacing
-    if spacing > 0.0:
-        eps = 1e-9 * max(1.0, spec.horizon)
-        if (controls.times[0] > cfg.start_t + eps
-                or controls.times[-1] + spacing < spec.horizon - eps):
-            raise ValueError("control fields do not cover [start_t, horizon]")
-        if cfg.dt_sim > spacing + 1e-12:
-            raise ValueError("dt_sim must not exceed the control-table spacing")
+    grid = controls.time_grid
+    if not grid.horizon >= spec.horizon - 1e-9 * max(1.0, spec.horizon):
+        raise ValueError("control fields do not cover [start_t, horizon]")
+    if not cfg.dt_sim <= grid.dt:
+        raise ValueError("dt_sim must not exceed the control-table spacing")
 
     n_steps = max(1, int(round(span / cfg.dt_sim)))
     dt = span / n_steps
     sqrt_dt = math.sqrt(dt)
-    slice_of_step = _nearest_indices(controls.times,
-                                     cfg.start_t + dt * np.arange(n_steps))
+    # the terminal level has no controls
+    slice_of_step = np.minimum(
+        grid.nearest(cfg.start_t + dt * np.arange(n_steps)), grid.n_steps - 1)
     sampler_down = make_jump_sampler(spec.jump_density_1)
     sampler_up = make_jump_sampler(spec.jump_density_2)
     rate_down = spec.nu1 * spec.theta_max * dt
     rate_up = spec.nu2 * spec.theta_max * dt
-    locate = _make_locator(controls.nodes)
+    locate = _make_locator(controls.mesh.n_cells)
 
     n_chunks = (cfg.n_paths + cfg.chunk_size - 1) // cfg.chunk_size
     seeds = np.random.SeedSequence(cfg.master_seed).spawn(n_chunks)

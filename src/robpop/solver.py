@@ -53,12 +53,6 @@ class PolicyIterationError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ValueField:
-    values: np.ndarray
-    time_label: float
-
-
-@dataclass
 class ControlField:
     q_star: np.ndarray
     lambda_star: np.ndarray
@@ -83,28 +77,28 @@ class ErgodicReport:
 @dataclass
 class Snapshot:
     time: float
-    value: ValueField
+    values: np.ndarray
 
 
 @dataclass
 class ControlTable:
-    """Control fields on the PDE time levels (the Monte Carlo oracle's input)."""
+    """Control fields of a solve (the Monte Carlo oracle's input).
 
-    times: np.ndarray           # ascending
-    nodes: np.ndarray
-    q: np.ndarray               # (n_times, n_nodes)
+    Row m of each array holds time level m of `time_grid`, m < n_steps: the
+    terminal level has no controls.
+    """
+
+    time_grid: TimeGrid
+    mesh: Mesh
+    q: np.ndarray               # (n_steps, n_nodes)
     lam: np.ndarray
     theta1: np.ndarray
     theta2: np.ndarray
 
-    @property
-    def spacing(self) -> float:
-        return float(self.times[1] - self.times[0]) if self.times.size > 1 else 0.0
-
 
 @dataclass
 class SolveResult:
-    final_value: ValueField
+    final_value: np.ndarray     # Phi(0, .) on the mesh nodes
     final_controls: ControlField
     ergodic: ErgodicReport
     iteration_stats: np.ndarray
@@ -116,6 +110,13 @@ class SolveResult:
 class PolicyConfig:
     tol: float = 1e-9
     max_iter: int = 50
+
+    def __post_init__(self):
+        # written so that a NaN tolerance fails
+        if not self.tol > 0.0:
+            raise ValueError(f"policy tol must be > 0, got {self.tol}")
+        if not self.max_iter >= 1:
+            raise ValueError(f"policy max_iter must be >= 1, got {self.max_iter}")
 
 
 # ---------------------------------------------------------------------------
@@ -276,24 +277,23 @@ def _extract_controls(ops: SchemeOperators, phi: np.ndarray,
             (phi - delta1, phi - delta2))
 
 
-def step_backward(ops: SchemeOperators, dt: float, phi_next: ValueField,
-                  policy: PolicyConfig | None = None):
-    """One implicit step from phi_next down to time_label - dt.
+def step_backward(ops: SchemeOperators, dt: float, phi_next: np.ndarray,
+                  t: float, policy: PolicyConfig | None = None):
+    """One implicit step from the slice phi_next at t + dt down to t.
 
     Policy iteration alternates control extraction on the current iterate
     with one tridiagonal solve until the slice stops moving in max norm.
-    Returns (value, controls, n_iterations). A non-finite change stops the
-    iteration at once.
+    Returns (values, controls, n_iterations). A non-finite change stops the
+    iteration at once; t only names the step in the error.
     """
     policy = policy or PolicyConfig()
-    t_new = phi_next.time_label - dt
-    phi = phi_next.values
+    phi = phi_next
     drift = ops.first_drift     # first slope stencil: the uncontrolled drift
 
     change, iteration = np.inf, 0
     for iteration in range(1, policy.max_iter + 1):
         controls, drift, h_q, w = _extract_controls(ops, phi, drift)
-        sys = assemble_system(ops, dt, controls, phi_next.values, drift, h_q, w)
+        sys = assemble_system(ops, dt, controls, phi_next, drift, h_q, w)
         phi_new = thomas_solve(sys)
         change = float(np.max(np.abs(phi_new - phi)))
         phi = phi_new
@@ -301,26 +301,21 @@ def step_backward(ops: SchemeOperators, dt: float, phi_next: ValueField,
             break
     if not change <= policy.tol:
         raise PolicyIterationError(
-            f"policy iteration stalled at t={t_new:.6g} "
+            f"policy iteration stalled at t={t:.6g} "
             f"(residual {change:.3e} after {iteration} iterations)",
-            residual=change, time_label=t_new)
+            residual=change, time_label=t)
 
     # re-extract so the reported controls are consistent with the converged slice
     controls = _extract_controls(ops, phi, drift)[0]
-    return ValueField(values=phi, time_label=t_new), controls, iteration
+    return phi, controls, iteration
 
 
-def ergodic_estimate(phi_t0: ValueField, phi_t1: ValueField,
+def ergodic_estimate(earlier: np.ndarray, later: np.ndarray,
                      dt: float) -> ErgodicReport:
-    """Backward-difference estimate of -dPhi/dt from two adjacent slices."""
-    if phi_t0.values.shape != phi_t1.values.shape:
+    """Backward-difference estimate of -dPhi/dt from the slices at t, t + dt."""
+    if earlier.shape != later.shape:
         raise ValueError("ergodic estimate needs slices on the same mesh")
-    earlier, later = ((phi_t0, phi_t1) if phi_t0.time_label <= phi_t1.time_label
-                      else (phi_t1, phi_t0))
-    gap = later.time_label - earlier.time_label
-    if abs(gap - dt) > 1e-9 * max(1.0, dt):
-        raise ValueError(f"slice labels differ by {gap}, expected dt={dt}")
-    per_node = (earlier.values - later.values) / dt
+    per_node = (earlier - later) / dt
     mean = float(np.mean(per_node))
     spread = float(np.max(np.abs(per_node - mean)))
     return ErgodicReport(E_mean=mean, E_spread=spread)
@@ -345,16 +340,21 @@ def solve_backward(spec: ProblemSpec, mesh: Mesh, time_grid: TimeGrid,
                    validate: bool = True) -> SolveResult:
     """March the terminal condition Phi(T, .) = 0 back to t = 0.
 
-    The last two slices feed the ergodic estimate of the effective
-    Hamiltonian. `record_controls` keeps the control fields of every step
-    (memory scales with n_steps; intended for short horizons, e.g. the Monte
-    Carlo cross-check). `validate=False` admits deliberately degenerate
-    configurations (such as zero growth everywhere) used as analytic checks.
+    T is `spec.horizon`, and `time_grid` must end there. The last two slices
+    feed the ergodic estimate of the effective Hamiltonian. `record_controls`
+    keeps the control fields of every step (memory scales with n_steps;
+    intended for short horizons, e.g. the Monte Carlo cross-check).
+    `validate=False` admits deliberately degenerate configurations (such as
+    zero growth everywhere) used as analytic checks.
     """
     if validate:
         violations = validate_spec(spec)
         if violations:
             raise ValueError("invalid problem spec:\n" + "\n".join(violations))
+    # the rule of `build_time_grid`, written so that a NaN horizon fails
+    if not abs(time_grid.horizon - spec.horizon) <= 1e-10 * spec.horizon:
+        raise ValueError(f"time grid horizon {time_grid.horizon} differs from "
+                         f"the spec horizon {spec.horizon}")
     policy = policy or PolicyConfig()
     ops = build_scheme(spec, mesh, n_quad=n_quad)
     dt = time_grid.dt
@@ -364,30 +364,30 @@ def solve_backward(spec: ProblemSpec, mesh: Mesh, time_grid: TimeGrid,
     for t in snapshot_times:
         snap_levels.setdefault(time_grid.level(t), float(t))
 
-    phi = ValueField(values=np.zeros(mesh.n_nodes), time_label=time_grid.horizon)
+    phi = np.zeros(mesh.n_nodes)
     snapshots: list[Snapshot] = []
     if n_steps in snap_levels:
-        snapshots.append(Snapshot(time=snap_levels[n_steps], value=phi))
+        snapshots.append(Snapshot(time=snap_levels[n_steps], values=phi))
     iteration_counts = np.zeros(n_steps, dtype=int)
     recorded: list[ControlField] = []
     previous = phi
     controls = None
     for m in range(n_steps - 1, -1, -1):
         previous = phi
-        phi, controls, iters = step_backward(ops, dt, phi, policy)
+        phi, controls, iters = step_backward(ops, dt, phi, m * dt, policy)
         iteration_counts[m] = iters
         if record_controls:
             recorded.append(controls)
         if m in snap_levels:
-            snapshots.append(Snapshot(time=snap_levels[m], value=phi))
+            snapshots.append(Snapshot(time=snap_levels[m], values=phi))
 
     ergodic = ergodic_estimate(phi, previous, dt)
     table = None
     if record_controls:
         recorded.reverse()
         table = ControlTable(
-            times=dt * np.arange(n_steps),
-            nodes=mesh.nodes,
+            time_grid=time_grid,
+            mesh=mesh,
             q=np.stack([c.q_star for c in recorded]),
             lam=np.stack([c.lambda_star for c in recorded]),
             theta1=np.stack([c.theta1_star for c in recorded]),

@@ -30,11 +30,11 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 def test_criterion_01_value_bounds(bench_solve_uncontrolled):
     result = bench_solve_uncontrolled
     eps = 1e-8 * F_MAX * HORIZON
-    slices = [s.value for s in result.snapshots] + [result.final_value]
-    worst_low = min(float(f.values.min()) for f in slices)
-    worst_high = max(
-        float(f.values.max() - (HORIZON - f.time_label) * F_MAX)
-        for f in slices)
+    slices = ([(s.time, s.values) for s in result.snapshots]
+              + [(0.0, result.final_value)])
+    worst_low = min(float(values.min()) for _, values in slices)
+    worst_high = max(float(values.max() - (HORIZON - t) * F_MAX)
+                     for t, values in slices)
     ok = worst_low >= -eps and worst_high <= eps
     _report(1, ok, f"bounds on {len(slices)} retained slices: "
                    f"min {worst_low:.3e} >= {-eps:.1e}, "
@@ -49,7 +49,7 @@ def test_criterion_02_degenerate_analytic_solve():
     result = rp.solve_backward(spec, mesh, rp.build_time_grid(1.0, 0.005),
                                validate=False)
     expected = np.asarray(spec.disutility_f(mesh.nodes), dtype=float)
-    gap = float(np.max(np.abs(result.final_value.values - expected)))
+    gap = float(np.max(np.abs(result.final_value - expected)))
     _report(2, gap <= 1e-10,
             f"degenerate problem reproduces f exactly: gap {gap:.3e} <= 1e-10")
 
@@ -60,7 +60,7 @@ def test_criterion_03_mirror_symmetry(bench_mesh, bench_time_grid):
     # configuration zeroes the deterministic growth (see decisions ledger)
     spec = replace(rp.make_paper_spec(False), growth_rate_r=zero_rate)
     result = rp.solve_backward(spec, bench_mesh, bench_time_grid)
-    phi = result.final_value.values
+    phi = result.final_value
     ctrl = result.final_controls
     scale = float(np.max(np.abs(phi)))
     phi_gap = float(np.max(np.abs(phi - phi[::-1])))
@@ -82,8 +82,7 @@ def test_criterion_04_monotone_in_ambiguity(bench_mesh, bench_time_grid,
     mid = bench_solve_uncontrolled
     checks = []
     for axis, lo, hi in (("psi0", lo0, hi0), ("psi", lo_j, hi_j)):
-        phis = [lo.final_value.values, mid.final_value.values,
-                hi.final_value.values]
+        phis = [lo.final_value, mid.final_value, hi.final_value]
         means = [lo.ergodic.E_mean, mid.ergodic.E_mean, hi.ergodic.E_mean]
         node_ok = (np.all(phis[0] <= phis[1] + 1e-8)
                    and np.all(phis[1] <= phis[2] + 1e-8))
@@ -109,8 +108,8 @@ def test_criterion_05_ergodic_convergence(bench_solve_uncontrolled):
 def test_criterion_06_reported_reference_values(bench_solve_uncontrolled,
                                                 bench_solve_controlled):
     e_mean = bench_solve_uncontrolled.ergodic.E_mean
-    min_no_q = float(bench_solve_uncontrolled.final_value.values.min())
-    min_with_q = float(bench_solve_controlled.final_value.values.min())
+    min_no_q = float(bench_solve_uncontrolled.final_value.min())
+    min_with_q = float(bench_solve_controlled.final_value.min())
     print(f"\n  computed E            = {e_mean:.4f}   (reference 0.7943)")
     print(f"  computed min phi      = {min_no_q:.3f}   (reference 38.665)")
     print(f"  computed min phi, q   = {min_with_q:.3f}   (reference 37.003)")
@@ -167,7 +166,7 @@ def test_criterion_09_scheme_structure(bench_mesh, bench_solve_uncontrolled,
         quad_ok &= bool(np.max(np.abs(dense.sum(axis=1) - 1.0)) <= 1e-12)
     # every assembly during both benchmark solves already self-checks the
     # M-matrix structure (a violation raises); re-check one system explicitly
-    phi = bench_solve_controlled.final_value.values
+    phi = bench_solve_controlled.final_value
     ctrl = bench_solve_controlled.final_controls
     sys = assemble_system(ops, BENCH_DT, ctrl, phi,
                           *reference_handoff(ops, ctrl, phi))
@@ -192,7 +191,7 @@ def test_criterion_10_mc_cross_validation():
     mesh = rp.build_mesh(200)
     result = rp.solve_backward(spec, mesh, rp.build_time_grid(2.0, 0.005),
                                record_controls=True)
-    pde_value = float(np.interp(0.5, mesh.nodes, result.final_value.values))
+    pde_value = float(np.interp(0.5, mesh.nodes, result.final_value))
     estimate = rp.simulate_value(
         spec, result.control_table,
         rp.SimConfig(dt_sim=5e-4, n_paths=100_000, master_seed=2024,

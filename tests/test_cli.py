@@ -1,5 +1,7 @@
 import dataclasses
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +9,9 @@ import pytest
 
 from robpop.cli import (ConfigError, DEFAULTS, build_spec, execute, main,
                         parse_config_text, read_provenance, resolve_config)
-from robpop.model import JumpDensity, make_paper_spec
+from robpop.model import JumpDensity, make_paper_spec, validate_spec
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TINY = ("preset = 'uncontrolled'; model.horizon = 0.5; "
         "mesh.n_cells = 30; time.dt = 0.01")
@@ -117,11 +121,44 @@ def test_cli_preset_matches_library_preset(preset):
 
 
 def test_readme_config_table_lists_exactly_the_config_keys():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     first_cells = [line.split("|")[1] for line in readme.splitlines()
                    if line.startswith("| `")]
     keys = {key for cell in first_cells for key in re.findall(r"`([^`]+)`", cell)}
     assert keys == set(DEFAULTS)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.txt")),
+                         ids=lambda path: path.name)
+def test_shipped_config_resolves_to_a_valid_spec(path):
+    cfg = resolve_config(parse_config_text(path.read_text()))
+    assert validate_spec(build_spec(cfg)) == []
+
+
+@pytest.mark.parametrize("flags", [[], ["--quick"]])
+def test_run_experiments_runs_every_shipped_config(tmp_path, monkeypatch,
+                                                   flags):
+    module_spec = importlib.util.spec_from_file_location(
+        "run_experiments", ROOT / "scripts" / "run_experiments.py")
+    script = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(script)
+    runs = []
+
+    def record(cfg, out, quiet=False):
+        runs.append((Path(out).name, cfg))
+        return 0
+    monkeypatch.setattr(script, "execute", record)
+    monkeypatch.setattr(sys, "argv", ["run_experiments.py",
+                                      "--out", str(tmp_path), *flags])
+    assert script.main() == 0
+    assert [(name, cfg["command"]) for name, cfg in runs] == [
+        ("uncontrolled", "solve"), ("controlled", "solve"),
+        ("symmetric", "solve"),
+        ("sweep_psi0_uncontrolled", "sweep"), ("sweep_psi_uncontrolled", "sweep"),
+        ("sweep_psi0_controlled", "sweep"), ("sweep_psi_controlled", "sweep"),
+        ("mc_check", "mc-check")]
+    for _, cfg in runs:
+        assert validate_spec(build_spec(cfg)) == []
 
 
 def test_resolution_rejects_nonfinite_and_noninteger_values():
@@ -193,6 +230,15 @@ def test_snapshot_time_off_the_time_levels_exits_one(tmp_path, capsys):
     assert "time 0.123 is not a level" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    "command = 'sweep'; sweep.param = 'psi0'; sweep.values = [0.5]",
+    "command = 'mc-check'"])
+def test_snapshot_times_outside_solve_exit_one(tmp_path, capsys, command):
+    code, _ = run_cli(tmp_path, TINY + f"; {command}; snapshot_times = [0.2]")
+    assert code == 1
+    assert "snapshot_times is read only by solve" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_one(tmp_path):
     assert main(["--config", str(tmp_path / "missing.txt")]) == 1
     cfg_path = tmp_path / "bad.txt"
@@ -236,6 +282,14 @@ def test_coefficient_table_negative_between_samples_exits_one(tmp_path, capsys):
 def test_nonfinite_or_noninteger_value_exits_one(tmp_path, statement):
     code, _ = run_cli(tmp_path, TINY + "; " + statement)
     assert code == 1
+
+
+@pytest.mark.parametrize("statement, key", [("solver.max_iter = 0", "max_iter"),
+                                            ("solver.tol = -1.0", "tol")])
+def test_bad_policy_setting_exits_one(tmp_path, capsys, statement, key):
+    code, _ = run_cli(tmp_path, TINY + "; " + statement)
+    assert code == 1
+    assert f"policy {key} must be" in capsys.readouterr().err
 
 
 def test_solver_failure_exits_two(tmp_path):
@@ -333,6 +387,17 @@ def test_mc_check_passes_and_reports(tmp_path):
 def test_mc_check_gate_failure_exits_three(tmp_path):
     code, _ = run_cli(tmp_path, MC_TINY + "; mc.gate_abs = -1.0")
     assert code == 3
+
+
+@pytest.mark.parametrize("statement", ["mc.n_paths = 0", "mc.chunk_size = 0",
+                                       "mc.dt_sim = -0.002", "mc.start_x = 1.5"])
+def test_bad_mc_setting_exits_one_before_solving(tmp_path, monkeypatch,
+                                                 statement):
+    def never(*args, **kwargs):
+        raise AssertionError("solve_backward called with a bad mc setting")
+    monkeypatch.setattr("robpop.cli.solve_backward", never)
+    code, _ = run_cli(tmp_path, MC_TINY + "; " + statement)
+    assert code == 1
 
 
 def test_old_provenance_with_mc_start_t_exits_one(tmp_path):

@@ -8,7 +8,7 @@ import robpop as rp
 from robpop.model import tabulated, zero_rate
 from robpop.solver import (ControlField, PolicyConfig, PolicyIterationError,
                            SchemeError, SingularSystemError, TridiagonalSystem,
-                           ValueField, _extract_controls, _gradient,
+                           _extract_controls, _gradient,
                            assemble_system, build_scheme, ergodic_estimate,
                            step_backward, switching_points, thomas_solve)
 
@@ -229,21 +229,19 @@ def test_step_backward_degenerate_analytic():
     mesh = rp.build_mesh(50)
     ops = build_scheme(spec, mesh)
     dt = 0.01
-    phi_next = ValueField(values=np.linspace(0.0, 1.0, mesh.n_nodes),
-                          time_label=1.0)
-    expected = phi_next.values + dt * np.asarray(spec.disutility_f(mesh.nodes))
-    phi, _, _ = step_backward(ops, dt, phi_next)
-    np.testing.assert_allclose(phi.values, expected, atol=1e-12)
-    assert phi.time_label == pytest.approx(0.99)
+    phi_next = np.linspace(0.0, 1.0, mesh.n_nodes)
+    expected = phi_next + dt * np.asarray(spec.disutility_f(mesh.nodes))
+    phi, _, _ = step_backward(ops, dt, phi_next, 0.99)
+    np.testing.assert_allclose(phi, expected, atol=1e-12)
 
 
 def test_step_backward_zero_is_fixed_point():
     spec = replace(rp.make_paper_spec(False), disutility_f=ZERO_FN)
     mesh = rp.build_mesh(40)
     ops = build_scheme(spec, mesh)
-    phi, controls, n_iters = step_backward(
-        ops, 0.005, ValueField(np.zeros(mesh.n_nodes), 1.0))
-    np.testing.assert_allclose(phi.values, 0.0, atol=1e-14)
+    phi, controls, n_iters = step_backward(ops, 0.005, np.zeros(mesh.n_nodes),
+                                           0.995)
+    np.testing.assert_allclose(phi, 0.0, atol=1e-14)
     np.testing.assert_allclose(controls.lambda_star, 0.0, atol=1e-14)
     np.testing.assert_allclose(controls.theta1_star, 1.0, atol=1e-14)
     np.testing.assert_allclose(controls.theta2_star, 1.0, atol=1e-14)
@@ -254,12 +252,11 @@ def test_step_backward_nonconvergence_raises():
     spec = rp.make_paper_spec(False)
     mesh = rp.build_mesh(30)
     ops = build_scheme(spec, mesh)
-    phi_next = ValueField(np.zeros(mesh.n_nodes), 0.5)
     with pytest.raises(PolicyIterationError) as err:
-        step_backward(ops, 0.005, phi_next,
+        step_backward(ops, 0.005, np.zeros(mesh.n_nodes), 0.495,
                       PolicyConfig(tol=1e-30, max_iter=1))
     assert err.value.residual > 0.0
-    assert err.value.time_label == pytest.approx(0.495)
+    assert err.value.time_label == 0.495
 
 
 def test_step_backward_stops_on_first_nonfinite_change():
@@ -268,7 +265,7 @@ def test_step_backward_stops_on_first_nonfinite_change():
     ops = build_scheme(rp.make_paper_spec(False), mesh)
     with (pytest.raises(PolicyIterationError, match="after 1 iterations") as err,
           np.errstate(over="ignore")):
-        step_backward(ops, 0.005, ValueField(np.full(mesh.n_nodes, 1e308), 0.5))
+        step_backward(ops, 0.005, np.full(mesh.n_nodes, 1e308), 0.495)
     assert not np.isfinite(err.value.residual)
 
 
@@ -278,7 +275,7 @@ def test_solve_backward_single_step_constant_cost():
     mesh = rp.build_mesh(20)
     tg = rp.build_time_grid(0.005, 0.005)
     result = rp.solve_backward(spec, mesh, tg, validate=False)
-    np.testing.assert_allclose(result.final_value.values, 2.0 * 0.005,
+    np.testing.assert_allclose(result.final_value, 2.0 * 0.005,
                                atol=1e-14)
     assert result.ergodic.E_mean == pytest.approx(2.0, abs=1e-10)
 
@@ -288,7 +285,7 @@ def test_solve_backward_zero_cost_everything_zero():
                    horizon=0.5)
     mesh = rp.build_mesh(40)
     result = rp.solve_backward(spec, mesh, rp.build_time_grid(0.5, 0.01))
-    np.testing.assert_allclose(result.final_value.values, 0.0, atol=1e-12)
+    np.testing.assert_allclose(result.final_value, 0.0, atol=1e-12)
     assert result.ergodic.E_mean == pytest.approx(0.0, abs=1e-12)
 
 
@@ -299,6 +296,13 @@ def test_solve_backward_validates_spec():
         rp.solve_backward(bad, mesh, rp.build_time_grid(0.1, 0.01))
 
 
+def test_solve_backward_rejects_grid_of_another_horizon():
+    # the march ends where the time grid ends; the oracle checks spec.horizon
+    spec = rp.make_paper_spec(True)
+    with pytest.raises(ValueError, match="horizon"):
+        rp.solve_backward(spec, rp.build_mesh(10), rp.build_time_grid(2.0, 0.5))
+
+
 def test_solve_backward_records_snapshots():
     spec = replace(rp.make_paper_spec(False), horizon=1.0)
     mesh = rp.build_mesh(30)
@@ -306,12 +310,11 @@ def test_solve_backward_records_snapshots():
                                snapshot_times=(0.5, 1.0))
     assert [s.time for s in result.snapshots] == [0.5, 1.0]
     terminal = result.snapshots[-1]
-    np.testing.assert_allclose(terminal.value.values, 0.0)
-    mid = result.snapshots[0]
-    assert mid.value.time_label == pytest.approx(0.5)
+    np.testing.assert_allclose(terminal.values, 0.0)
 
 
-@pytest.mark.parametrize("t", [0.505, -0.1, 1.1])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # NaN cast to a level
+@pytest.mark.parametrize("t", [0.505, -0.1, 1.1, float("nan")])
 def test_snapshot_time_off_the_time_levels_raises(t):
     spec = replace(rp.make_paper_spec(False), horizon=1.0)
     with pytest.raises(ValueError, match=f"time {t} is not a level"):
@@ -327,11 +330,12 @@ def test_value_bounds_on_benchmark_shape_problem():
                                snapshot_times=(0.0, 0.5, 1.0, 1.5))
     f_max = float(np.max(spec.disutility_f(mesh.nodes)))
     eps = 1e-8 * f_max * spec.horizon
-    slices = [s.value for s in result.snapshots] + [result.final_value]
-    for field in slices:
-        upper = (spec.horizon - field.time_label) * f_max + eps
-        assert field.values.min() >= -eps
-        assert field.values.max() <= upper
+    slices = ([(s.time, s.values) for s in result.snapshots]
+              + [(0.0, result.final_value)])
+    for t, values in slices:
+        upper = (spec.horizon - t) * f_max + eps
+        assert values.min() >= -eps
+        assert values.max() <= upper
 
 
 def test_iteration_stats_counted_per_step():
@@ -357,7 +361,7 @@ def test_discrete_comparison_in_f():
     for f_fn in (lower_f, higher_f):
         spec = replace(rp.make_paper_spec(False), disutility_f=f_fn,
                        horizon=1.0)
-        phi.append(rp.solve_backward(spec, mesh, tg).final_value.values)
+        phi.append(rp.solve_backward(spec, mesh, tg).final_value)
     assert np.all(phi[0] <= phi[1] + 1e-8)
 
 
@@ -371,7 +375,7 @@ def test_value_nondecreasing_in_ambiguity_aversion(axis):
         spec = replace(rp.make_paper_spec(False), horizon=2.0,
                        **dict.fromkeys(fields, level))
         res = rp.solve_backward(spec, mesh, tg)
-        values.append(res.final_value.values)
+        values.append(res.final_value)
         means.append(res.ergodic.E_mean)
     assert np.all(values[0] <= values[1] + 1e-8)
     assert np.all(values[1] <= values[2] + 1e-8)
@@ -383,7 +387,7 @@ def test_mirror_symmetry_without_growth_drift():
                    horizon=2.0)
     mesh = rp.build_mesh(100)
     result = rp.solve_backward(spec, mesh, rp.build_time_grid(2.0, 0.01))
-    phi = result.final_value.values
+    phi = result.final_value
     ctrl = result.final_controls
     scale = np.max(np.abs(phi))
     assert np.max(np.abs(phi - phi[::-1])) <= 1e-6 * scale
@@ -395,9 +399,9 @@ def test_intervention_reduces_value():
     mesh = rp.build_mesh(60)
     tg = rp.build_time_grid(2.0, 0.01)
     phi_no = rp.solve_backward(replace(rp.make_paper_spec(False), horizon=2.0),
-                               mesh, tg).final_value.values
+                               mesh, tg).final_value
     phi_with = rp.solve_backward(replace(rp.make_paper_spec(True), horizon=2.0),
-                                 mesh, tg).final_value.values
+                                 mesh, tg).final_value
     assert np.all(phi_with <= phi_no + 1e-8)
 
 
@@ -407,36 +411,20 @@ def test_intervention_reduces_value():
 
 def test_ergodic_estimate_uniform_translation():
     values = np.linspace(0.0, 1.0, 11)
-    t0 = ValueField(values + 3.0 * 0.01, time_label=0.0)
-    t1 = ValueField(values, time_label=0.01)
-    report = ergodic_estimate(t0, t1, 0.01)
+    report = ergodic_estimate(values + 3.0 * 0.01, values, 0.01)
     assert report.E_mean == pytest.approx(3.0)
     assert report.E_spread == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ergodic_estimate_stationary():
     values = np.linspace(0.0, 1.0, 11)
-    report = ergodic_estimate(ValueField(values, 0.0),
-                              ValueField(values.copy(), 0.01), 0.01)
+    report = ergodic_estimate(values, values.copy(), 0.01)
     assert report.E_mean == 0.0
 
 
-def test_ergodic_estimate_argument_order_irrelevant():
-    values = np.zeros(5)
-    later = ValueField(values, 0.01)
-    earlier = ValueField(values + 0.05, 0.0)
-    a = ergodic_estimate(earlier, later, 0.01)
-    b = ergodic_estimate(later, earlier, 0.01)
-    assert a.E_mean == b.E_mean == pytest.approx(5.0)
-
-
 def test_ergodic_estimate_rejects_bad_labels():
-    values = np.zeros(5)
     with pytest.raises(ValueError):
-        ergodic_estimate(ValueField(values, 0.0), ValueField(values, 0.5), 0.01)
-    with pytest.raises(ValueError):
-        ergodic_estimate(ValueField(values, 0.0),
-                         ValueField(np.zeros(7), 0.01), 0.01)
+        ergodic_estimate(np.zeros(5), np.zeros(7), 0.01)
 
 
 def test_switching_points_empty():
