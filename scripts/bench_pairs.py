@@ -1,0 +1,91 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of two checkouts, written as one BENCH JSON file.
+
+Runs ``python3 perfbench/run.py --workload all`` alternately in a parent and
+a change checkout, ``--pairs`` times, swapping which side goes first in every
+other pair, then one ``--trace 1`` run on each side. Every run's JSON lines
+(one per workload, in the order of BENCHMARK.json) are kept as printed. For
+each workload and end-to-end metric the file also holds each side's median
+and quartiles, the change/parent ratio of the medians, and how many pairs the
+change won (ties count for neither side).
+
+    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+        --pairs 10 --out BENCH_N.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_all(root: Path, trace: bool) -> dict[str, dict]:
+    """One ``--workload all`` run in ``root``: workload name -> result."""
+    names = [w["name"] for w in
+             json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "all",
+         "--trace", str(int(trace))],
+        cwd=root, capture_output=True, text=True, check=True)
+    lines = proc.stdout.strip().splitlines()[-len(names):]
+    return dict(zip(names, (json.loads(line) for line in lines)))
+
+
+def summarize(pairs: list[dict], metrics: list[str]) -> dict:
+    out = {}
+    for workload in pairs[0]["parent"]:
+        rows = {}
+        for metric in metrics:
+            sides = {side: [p[side][workload]["metrics"][metric]["value"]
+                            for p in pairs] for side in ("parent", "change")}
+            stats = {side: dict(zip(("q1", "median", "q3"),
+                                    statistics.quantiles(v, n=4)))
+                     for side, v in sides.items()}
+            wins = sum(c < p for p, c in zip(sides["parent"], sides["change"]))
+            losses = sum(c > p for p, c in zip(sides["parent"], sides["change"]))
+            rows[metric] = {
+                **stats,
+                "ratio_of_medians": (stats["change"]["median"]
+                                     / stats["parent"]["median"]),
+                "change_wins": wins, "change_losses": losses,
+                "pairs": len(pairs)}
+        out[workload] = rows
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--out", type=Path, required=True)
+    ns = parser.parse_args(argv)
+    metrics = [m["name"] for m in json.loads(
+        (ns.change / "BENCHMARK.json").read_text())["end_to_end"]]
+
+    pairs = []
+    for i in range(ns.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"first": order[0]}
+        for side in order:
+            pair[side] = run_all(getattr(ns, side), trace=False)
+            print(f"pair {i + 1}/{ns.pairs} {side} done", file=sys.stderr)
+        pairs.append(pair)
+    traced = {side: run_all(getattr(ns, side), trace=True)
+              for side in ("parent", "change")}
+
+    ns.out.write_text(json.dumps({
+        "command": "python3 perfbench/run.py --workload all",
+        "summary": summarize(pairs, metrics),
+        "pairs": pairs,
+        "traced": traced,
+    }, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -290,8 +290,9 @@ def _run_solve(cfg: RunConfig, spec: ProblemSpec, out: Path, quiet: bool) -> int
                ["x", "q_star", "lambda_star", "theta1_star", "theta2_star"],
                zip(mesh.nodes, ctrl.q_star, ctrl.lambda_star,
                    ctrl.theta1_star, ctrl.theta2_star))
-    _write_csv(out / "ergodic.csv", prov, ["E_mean", "E_spread"],
-               [(result.ergodic.E_mean, result.ergodic.E_spread)])
+    _write_csv(out / "ergodic.csv", prov, ["E_mean", "E_spread", "t_exit"],
+               [(result.ergodic.E_mean, result.ergodic.E_spread,
+                 result.exit_time)])
     intervals = _omega1(result, spec, mesh)
     _write_csv(out / "omega1.csv", prov, ["left_x", "right_x"], intervals)
     if result.snapshots:
@@ -309,6 +310,8 @@ def _run_solve(cfg: RunConfig, spec: ProblemSpec, out: Path, quiet: bool) -> int
             e_line += f"  (reference {REFERENCE_E_UNCONTROLLED})"
         print(e_line)
         print(f"E_spread   {result.ergodic.E_spread:.3e}")
+        print(f"t_exit     {result.exit_time:g}  (ergodic exit; 0 means "
+              f"the march reached t = 0)")
         print(f"omega1     {intervals if intervals else 'empty'}")
         print(f"artifacts  {out}")
     return 0
@@ -349,6 +352,7 @@ def _run_mc_check(cfg: RunConfig, spec: ProblemSpec, out: Path, quiet: bool) -> 
                     start_x=float(cfg["mc.start_x"]),
                     chunk_size=int(cfg["mc.chunk_size"]))
     mesh, tg, solver_kw = _run_setup(cfg, spec)
+    sim.check_spacing(tg.dt)
     result = solve_backward(spec, mesh, tg, record_controls=True, **solver_kw)
     pde_value = float(np.interp(sim.start_x, mesh.nodes, result.final_value))
     estimate = simulate_value(spec, result.control_table, sim)

@@ -47,6 +47,12 @@ class SimConfig:
         if not self.start_t >= 0.0:
             raise ValueError("start_t must lie in [0, horizon)")
 
+    def check_spacing(self, table_dt: float) -> None:
+        """Each simulation step must fall within one control-table step."""
+        if not self.dt_sim <= table_dt:
+            raise ValueError(f"dt_sim must not exceed the control-table "
+                             f"spacing: {self.dt_sim} > {table_dt}")
+
 
 @dataclass
 class ValueEstimate:
@@ -144,10 +150,12 @@ def simulate_paths(spec: ProblemSpec, controls: ControlTable,
     if not span > 0.0:
         raise ValueError("start_t must lie in [0, horizon)")
     grid = controls.time_grid
-    if not grid.horizon >= spec.horizon - 1e-9 * max(1.0, spec.horizon):
-        raise ValueError("control fields do not cover [start_t, horizon]")
-    if not cfg.dt_sim <= grid.dt:
-        raise ValueError("dt_sim must not exceed the control-table spacing")
+    # row m holds time-to-go grid.horizon - m dt, so the horizons must agree;
+    # the rule of `solve_backward`, written so that a NaN horizon fails
+    if not abs(grid.horizon - spec.horizon) <= 1e-10 * spec.horizon:
+        raise ValueError(f"control fields cover [0, {grid.horizon}], not the "
+                         f"spec horizon [0, {spec.horizon}]")
+    cfg.check_spacing(grid.dt)
 
     n_steps = max(1, int(round(span / cfg.dt_sim)))
     dt = span / n_steps

@@ -15,6 +15,11 @@ points inward. Assembly checks the M-matrix structure of every row, the
 couplings past both ends included. The jump expectations are lagged at
 the current policy iterate, which keeps every linear solve tridiagonal; the
 local parts nu theta phi stay implicit.
+
+In the ergodic regime Phi(t, x) = w(x) + E (T - t) up to a vanishing error,
+so once the per-node estimate of E has settled every further step only adds
+E dt. The march then stops at that level t* and writes the rest of the
+horizon as Phi(t*) + E (t* - t) (relative value iteration).
 """
 
 from __future__ import annotations
@@ -31,6 +36,12 @@ from .jump_ops import (JumpQuadrature, apply_nonlocal, build_jump_quadrature,
                        entropy_penalty)
 from .local_ops import lambda_field, q_candidates, q_field
 from .model import ProblemSpec, validate_spec
+
+
+# ergodic exit: the march stops once E_spread <= ERGODIC_EXIT_SPREAD *
+# max(1, |E_mean|) has held for ERGODIC_EXIT_STEPS consecutive steps
+ERGODIC_EXIT_SPREAD = 1e-10
+ERGODIC_EXIT_STEPS = 10
 
 
 class SchemeError(RuntimeError):
@@ -101,8 +112,9 @@ class SolveResult:
     final_value: np.ndarray     # Phi(0, .) on the mesh nodes
     final_controls: ControlField
     ergodic: ErgodicReport
-    iteration_stats: np.ndarray
+    iteration_stats: np.ndarray  # per marched level, m* .. n_steps - 1
     snapshots: list[Snapshot]
+    exit_time: float            # t* = m* dt of the ergodic exit, or 0.0
     control_table: ControlTable | None = None
 
 
@@ -340,12 +352,16 @@ def solve_backward(spec: ProblemSpec, mesh: Mesh, time_grid: TimeGrid,
                    validate: bool = True) -> SolveResult:
     """March the terminal condition Phi(T, .) = 0 back to t = 0.
 
-    T is `spec.horizon`, and `time_grid` must end there. The last two slices
-    feed the ergodic estimate of the effective Hamiltonian. `record_controls`
-    keeps the control fields of every step (memory scales with n_steps;
-    intended for short horizons, e.g. the Monte Carlo cross-check).
-    `validate=False` admits deliberately degenerate configurations (such as
-    zero growth everywhere) used as analytic checks.
+    T is `spec.horizon`, and `time_grid` must end there. After each step the
+    last two slices give the ergodic estimate of the effective Hamiltonian E.
+    Once its per-node spread has settled (see ERGODIC_EXIT_SPREAD) at a level
+    m* > 0, the march stops there: every level m < m* is Phi(m*) + E (m* - m)
+    dt, holds the controls of step m*, and `final_controls` are those of step
+    m*. The ergodic report always comes from the last two marched slices.
+    `record_controls` keeps the control fields of every level (memory scales
+    with n_steps; intended for short horizons, e.g. the Monte Carlo
+    cross-check). `validate=False` admits deliberately degenerate
+    configurations (such as zero growth everywhere) used as analytic checks.
     """
     if validate:
         violations = validate_spec(spec)
@@ -370,8 +386,7 @@ def solve_backward(spec: ProblemSpec, mesh: Mesh, time_grid: TimeGrid,
         snapshots.append(Snapshot(time=snap_levels[n_steps], values=phi))
     iteration_counts = np.zeros(n_steps, dtype=int)
     recorded: list[ControlField] = []
-    previous = phi
-    controls = None
+    settled_steps = 0
     for m in range(n_steps - 1, -1, -1):
         previous = phi
         phi, controls, iters = step_backward(ops, dt, phi, m * dt, policy)
@@ -380,11 +395,23 @@ def solve_backward(spec: ProblemSpec, mesh: Mesh, time_grid: TimeGrid,
             recorded.append(controls)
         if m in snap_levels:
             snapshots.append(Snapshot(time=snap_levels[m], values=phi))
+        ergodic = ergodic_estimate(phi, previous, dt)
+        bound = ERGODIC_EXIT_SPREAD * max(1.0, abs(ergodic.E_mean))
+        # written as "within bound" so that a NaN spread never exits
+        settled_steps = settled_steps + 1 if ergodic.E_spread <= bound else 0
+        if settled_steps >= ERGODIC_EXIT_STEPS:
+            break
+    m_exit = m
 
-    ergodic = ergodic_estimate(phi, previous, dt)
+    def unmarched(level: int) -> np.ndarray:
+        return phi + ergodic.E_mean * (m_exit - level) * dt
+
+    snapshots += [Snapshot(time=t, values=unmarched(level))
+                  for level, t in snap_levels.items() if level < m_exit]
+    final_value = unmarched(0) if m_exit else phi
     table = None
     if record_controls:
-        recorded.reverse()
+        recorded = [controls] * m_exit + recorded[::-1]
         table = ControlTable(
             time_grid=time_grid,
             mesh=mesh,
@@ -394,9 +421,11 @@ def solve_backward(spec: ProblemSpec, mesh: Mesh, time_grid: TimeGrid,
             theta2=np.stack([c.theta2_star for c in recorded]),
         )
     snapshots.sort(key=lambda s: s.time)
-    return SolveResult(final_value=phi, final_controls=controls,
-                       ergodic=ergodic, iteration_stats=iteration_counts,
-                       snapshots=snapshots, control_table=table)
+    return SolveResult(final_value=final_value, final_controls=controls,
+                       ergodic=ergodic,
+                       iteration_stats=iteration_counts[m_exit:],
+                       snapshots=snapshots, exit_time=m_exit * dt,
+                       control_table=table)
 
 
 # ---------------------------------------------------------------------------

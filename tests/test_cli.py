@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import json
 import re
 import sys
 from pathlib import Path
@@ -159,6 +160,36 @@ def test_run_experiments_runs_every_shipped_config(tmp_path, monkeypatch,
         ("mc_check", "mc-check")]
     for _, cfg in runs:
         assert validate_spec(build_spec(cfg)) == []
+
+
+def test_bench_pairs_alternates_sides_and_counts_wins(tmp_path, monkeypatch):
+    module_spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    script = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(script)
+    calls = []
+
+    def fake_run_all(root, trace):
+        calls.append((root.name, trace))
+        wall = {"parent": 2.0, "change": 1.0}[root.name] + 0.1 * len(calls)
+        return {"w": {"metrics": {name: {"value": wall} for name in (
+            "wall_s", "setup_s", "pde_s", "cpu_s", "peak_rss_mb")}}}
+    monkeypatch.setattr(script, "run_all", fake_run_all)
+    (tmp_path / "change").mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        (ROOT / "BENCHMARK.json").read_text())
+    out = tmp_path / "bench.json"
+    assert script.main(["--parent", str(tmp_path / "parent"),
+                        "--change", str(tmp_path / "change"),
+                        "--pairs", "3", "--out", str(out)]) == 0
+    assert calls == [("parent", False), ("change", False),
+                     ("change", False), ("parent", False),
+                     ("parent", False), ("change", False),
+                     ("parent", True), ("change", True)]
+    row = json.loads(out.read_text())["summary"]["w"]["wall_s"]
+    assert (row["change_wins"], row["change_losses"]) == (3, 0)
+    assert row["parent"]["median"] == pytest.approx(2.4)
+    assert row["change"]["median"] == pytest.approx(1.3)
 
 
 def test_resolution_rejects_nonfinite_and_noninteger_values():
@@ -389,8 +420,9 @@ def test_mc_check_gate_failure_exits_three(tmp_path):
     assert code == 3
 
 
-@pytest.mark.parametrize("statement", ["mc.n_paths = 0", "mc.chunk_size = 0",
-                                       "mc.dt_sim = -0.002", "mc.start_x = 1.5"])
+@pytest.mark.parametrize("statement", [
+    "mc.n_paths = 0", "mc.chunk_size = 0", "mc.dt_sim = -0.002",
+    "mc.start_x = 1.5", "mc.dt_sim = 0.01"])
 def test_bad_mc_setting_exits_one_before_solving(tmp_path, monkeypatch,
                                                  statement):
     def never(*args, **kwargs):

@@ -143,6 +143,11 @@ def test_rejects_horizon_not_covered_by_controls():
     with pytest.raises(ValueError, match="cover"):
         rp.simulate_value(longer, result.control_table,
                           SimConfig(dt_sim=0.005, n_paths=4))
+    # a table from a longer solve: its rows carry the wrong time-to-go
+    long_table = rp.solve_backward(longer, mesh, rp.build_time_grid(2.0, 0.01),
+                                   record_controls=True).control_table
+    with pytest.raises(ValueError, match="cover"):
+        rp.simulate_value(spec, long_table, SimConfig(dt_sim=0.005, n_paths=4))
 
 
 def test_rejects_dt_sim_coarser_than_table():

@@ -445,3 +445,88 @@ def test_switching_points_multiple_blocks_and_edges():
     assert len(intervals) == 3
     assert intervals[0][0] == 0.0
     assert intervals[-1][1] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# ergodic exit
+# ---------------------------------------------------------------------------
+
+CONTROL_ROWS = (("q", "q_star"), ("lam", "lambda_star"),
+                ("theta1", "theta1_star"), ("theta2", "theta2_star"))
+
+
+def plain_march(spec, mesh, time_grid):
+    """The reference: every level marched by `step_backward`, no exit."""
+    ops = build_scheme(spec, mesh)
+    dt = time_grid.dt
+    slices = {time_grid.n_steps: np.zeros(mesh.n_nodes)}
+    controls = {}
+    for m in range(time_grid.n_steps - 1, -1, -1):
+        slices[m], controls[m], _ = step_backward(ops, dt, slices[m + 1],
+                                                  m * dt)
+    return slices, controls, ergodic_estimate(slices[0], slices[1], dt)
+
+
+@pytest.mark.parametrize("with_control", [False, True])
+def test_ergodic_exit_agrees_with_the_plain_march(with_control):
+    spec = rp.make_paper_spec(with_control)
+    mesh = rp.build_mesh(50)
+    tg = rp.build_time_grid(50.0, 0.1)
+    result = rp.solve_backward(spec, mesh, tg, snapshot_times=(5.0, 45.0),
+                               record_controls=True)
+    slices, controls, ergodic = plain_march(spec, mesh, tg)
+    assert result.exit_time > 5.0
+    m_exit = tg.level(result.exit_time)
+    assert result.iteration_stats.size == tg.n_steps - m_exit
+
+    np.testing.assert_allclose(result.final_value, slices[0], rtol=0.0,
+                               atol=1e-8)
+    assert abs(result.ergodic.E_mean - ergodic.E_mean) <= 1e-9
+    # the report comes from the last two marched slices
+    assert result.ergodic == ergodic_estimate(slices[m_exit],
+                                              slices[m_exit + 1], tg.dt)
+    early, late = result.snapshots
+    np.testing.assert_allclose(early.values, slices[tg.level(5.0)], rtol=0.0,
+                               atol=1e-8)
+    # a marched level is the plain march's, bit for bit
+    assert np.array_equal(late.values, slices[tg.level(45.0)])
+
+    table = result.control_table
+    for rows_name, field in CONTROL_ROWS:
+        rows = getattr(table, rows_name)
+        assert np.array_equal(rows[m_exit:], np.stack(
+            [getattr(controls[m], field) for m in range(m_exit, tg.n_steps)]))
+        assert np.all(rows[:m_exit] == rows[m_exit])
+        assert np.array_equal(getattr(result.final_controls, field),
+                              rows[m_exit])
+
+
+def test_short_horizon_is_the_plain_march_bitwise():
+    spec = replace(rp.make_paper_spec(True), horizon=1.0)
+    mesh = rp.build_mesh(50)
+    tg = rp.build_time_grid(1.0, 0.1)
+    result = rp.solve_backward(spec, mesh, tg)
+    slices, controls, ergodic = plain_march(spec, mesh, tg)
+    assert result.exit_time == 0.0
+    assert result.iteration_stats.size == tg.n_steps
+    assert np.array_equal(result.final_value, slices[0])
+    assert result.ergodic == ergodic
+    for _, field in CONTROL_ROWS:
+        assert np.array_equal(getattr(result.final_controls, field),
+                              getattr(controls[0], field))
+
+
+def test_degenerate_spec_marches_to_zero():
+    # -phi_t = f: the per-node E is f itself, so its spread never settles
+    f_fn = rp.make_paper_spec(False).disutility_f
+    spec = replace(degenerate_spec(f_fn), horizon=50.0)
+    mesh = rp.build_mesh(50)
+    result = rp.solve_backward(spec, mesh, rp.build_time_grid(50.0, 0.5),
+                               validate=False)
+    f = np.asarray(f_fn(mesh.nodes), dtype=float)
+    assert result.exit_time == 0.0
+    assert result.iteration_stats.size == 100
+    np.testing.assert_allclose(result.final_value, 50.0 * f, rtol=0.0,
+                               atol=1e-10 * 50.0)
+    assert result.ergodic.E_spread == pytest.approx(
+        np.max(np.abs(f - f.mean())))
