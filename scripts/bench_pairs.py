@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Paired benchmark runs of two checkouts, written as one BENCH JSON file.
 
-Runs ``python3 perfbench/run.py --workload all`` alternately in a parent and
-a change checkout, ``--pairs`` times, swapping which side goes first in every
-other pair, then one ``--trace 1`` run on each side. Every run's JSON lines
-(one per workload, in the order of BENCHMARK.json) are kept as printed. For
+Runs ``python3 perfbench/run.py --workload NAME`` for every workload of
+BENCHMARK.json alternately in a parent and a change checkout, ``--pairs``
+times, swapping which side goes first in every other pair, then one
+``--trace 1`` run on each side. Each run's last JSON line is kept as printed,
+under the name of the workload it was run for. For
 each workload and end-to-end metric the file also holds each side's median
 and quartiles, the change/parent ratio of the medians, and how many pairs the
 change won (ties count for neither side).
@@ -24,15 +25,17 @@ from pathlib import Path
 
 
 def run_all(root: Path, trace: bool) -> dict[str, dict]:
-    """One ``--workload all`` run in ``root``: workload name -> result."""
-    names = [w["name"] for w in
-             json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "all",
-         "--trace", str(int(trace))],
-        cwd=root, capture_output=True, text=True, check=True)
-    lines = proc.stdout.strip().splitlines()[-len(names):]
-    return dict(zip(names, (json.loads(line) for line in lines)))
+    """One run of each workload in ``root``: workload name -> result."""
+    results = {}
+    for workload in json.loads(
+            (root / "BENCHMARK.json").read_text())["workloads"]:
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload",
+             workload["name"], "--trace", str(int(trace))],
+            cwd=root, capture_output=True, text=True, check=True)
+        results[workload["name"]] = json.loads(
+            proc.stdout.strip().splitlines()[-1])
+    return results
 
 
 def summarize(pairs: list[dict], metrics: list[str]) -> dict:
@@ -79,7 +82,7 @@ def main(argv=None) -> int:
               for side in ("parent", "change")}
 
     ns.out.write_text(json.dumps({
-        "command": "python3 perfbench/run.py --workload all",
+        "command": "python3 perfbench/run.py --workload NAME",
         "summary": summarize(pairs, metrics),
         "pairs": pairs,
         "traced": traced,

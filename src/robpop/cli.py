@@ -142,11 +142,14 @@ def resolve_config(entries: dict[str, object]) -> RunConfig:
     resolved.update(entries)
     for key, value in resolved.items():
         types, what = _value_type(key)
-        if not isinstance(value, types) or (
+        leaves = _leaves(value)
+        # bool is a subclass of int, and no key takes one
+        if not isinstance(value, types) or any(
+                isinstance(v, bool) for v in leaves) or (
                 key in NUMBER_LISTS
                 and not all(isinstance(v, (int, float)) for v in value)):
             raise ConfigError(f"{key} must be {what}, got {_fmt_value(value)}")
-        if not _finite(value):
+        if not all(math.isfinite(v) for v in leaves if isinstance(v, float)):
             raise ConfigError(f"{key} must be finite, got {_fmt_value(value)}")
 
     command = resolved["command"]
@@ -176,10 +179,10 @@ def _value_type(key: str):
                            list: "a list"}[type(default)]
 
 
-def _finite(value) -> bool:
+def _leaves(value) -> list:
     if isinstance(value, (list, tuple)):
-        return all(_finite(v) for v in value)
-    return not isinstance(value, float) or math.isfinite(value)
+        return [leaf for v in value for leaf in _leaves(v)]
+    return [value]
 
 
 def _fmt_value(value) -> str:

@@ -1,7 +1,8 @@
-"""Uniform spatial mesh on [0, 1], backward time grid, and linear interpolation."""
+"""Uniform spatial mesh on [0, 1] with its interpolation lookup, time grid."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,17 @@ class Mesh:
     @property
     def n_nodes(self) -> int:
         return self.n_cells + 1
+
+    def locate(self, ys) -> tuple[np.ndarray, np.ndarray]:
+        """Cell index and weight of points in [0, 1]: y = nodes[idx] + w dx,
+        with y = 1 in the last cell at w = 1, so idx + 1 is always a node."""
+        ys = np.asarray(ys, dtype=float)
+        # written as "not within bound" so that a NaN point fails the check
+        if ys.size and not (ys.min() >= 0.0 and ys.max() <= 1.0):
+            raise ValueError("interpolation points must lie in [0, 1]")
+        s = ys * self.n_cells
+        idx = np.minimum(s.astype(np.int64), self.n_cells - 1)
+        return idx, s - idx
 
 
 @dataclass(frozen=True)
@@ -53,25 +65,11 @@ def build_mesh(n_cells: int) -> Mesh:
 
 
 def build_time_grid(horizon: float, dt: float) -> TimeGrid:
-    if dt <= 0.0 or horizon <= 0.0:
-        raise ValueError("horizon and dt must be positive")
+    # written as "not within bound" so that NaN and infinity fail the check
+    if not (0.0 < dt < math.inf and 0.0 < horizon < math.inf):
+        raise ValueError("horizon and dt must be finite and positive")
     n_steps = int(round(horizon / dt))
     if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-10 * horizon:
         raise ValueError(f"dt={dt} does not evenly divide horizon={horizon}")
     return TimeGrid(dt=dt, horizon=horizon, n_steps=n_steps)
 
-
-def interp_weights_many(mesh: Mesh, ys: np.ndarray):
-    """Vectorized bracketing: ys[k] = lw[k]*nodes[i[k]] + rw[k]*nodes[i[k]+1].
-
-    Exact node hits give (i, 1, 0); y = 1 resolves to (n_cells - 1, 0, 1) so the
-    cell index is always a valid left cell.
-    """
-    ys = np.asarray(ys, dtype=float)
-    if ys.size and (ys.min() < 0.0 or ys.max() > 1.0):
-        raise ValueError("interpolation points must lie in [0, 1]")
-    nodes = mesh.nodes
-    idx = np.clip(np.searchsorted(nodes, ys, side="right") - 1, 0, mesh.n_cells - 1)
-    # dividing by the actual node gap keeps exact hits exact (t = 0 or t = 1)
-    t = (ys - nodes[idx]) / (nodes[idx + 1] - nodes[idx])
-    return idx, 1.0 - t, t

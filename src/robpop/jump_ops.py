@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import xlogy
 
-from .grid import Mesh, interp_weights_many
+from .grid import Mesh
 from .model import JumpDensity
 
 TransformKind = Literal["down", "up"]
@@ -69,10 +69,10 @@ def build_jump_quadrature(mesh: Mesh, density: JumpDensity,
 
     n = mesh.n_nodes
     ys = np.clip(_transform(transform_kind, z[None, :], mesh.nodes[:, None]), 0.0, 1.0)
-    idx, lw, rw = interp_weights_many(mesh, ys.ravel())
+    idx, rw = mesh.locate(ys.ravel())
     rows = np.repeat(np.arange(n), z.size)
     w_flat = np.tile(w, n)
-    data = np.concatenate([w_flat * lw, w_flat * rw])
+    data = np.concatenate([w_flat * (1.0 - rw), w_flat * rw])
     cols = np.concatenate([idx, idx + 1])
     mat = sp.coo_matrix((data, (np.concatenate([rows, rows]), cols)),
                         shape=(n, n)).tocsr()

@@ -9,7 +9,7 @@ sizes drawn by inverse CDF from the jump-density table).
 The running cost f(x) + h(q) - lambda^2/(2 psi0) - sum_i (nu_i/psi_i)
 (theta_i ln theta_i + 1 - theta_i) is integrated with the left-endpoint
 rule; control values come from the nearest PDE time level, linearly
-interpolated in space.
+interpolated in space by `Mesh.locate`.
 
 Paths are processed in fixed-size chunks, each chunk driven by its own
 deterministic substream spawned from the master seed, so identical
@@ -27,6 +27,8 @@ import numpy as np
 from .jump_ops import entropy_penalty
 from .model import JumpDensity, ProblemSpec
 from .solver import ControlTable
+
+JUMP_CDF_NODES = 4097      # knots of the jump-size CDF table a sampler inverts
 
 
 @dataclass(frozen=True)
@@ -87,9 +89,9 @@ class JumpSampler:
         return np.interp(rng.uniform(size=size), self.cdf, self.zs)
 
 
-def make_jump_sampler(density: JumpDensity, n_grid: int = 4097) -> JumpSampler:
+def make_jump_sampler(density: JumpDensity) -> JumpSampler:
     """Inverse-CDF sampler on a fine grid (exact for uniform densities)."""
-    zs = np.linspace(density.xs[0], density.xs[-1], n_grid)
+    zs = np.linspace(density.xs[0], density.xs[-1], JUMP_CDF_NODES)
     pdf = density(zs)
     if np.any(pdf < 0.0):
         raise ValueError("jump density must be nonnegative")
@@ -104,24 +106,11 @@ def make_jump_sampler(density: JumpDensity, n_grid: int = 4097) -> JumpSampler:
 # path simulation
 # ---------------------------------------------------------------------------
 
-def _make_locator(n_cells: int):
-    """Cell index and fractional weight for positions in [0, 1].
-
-    Control tables live on the uniform mesh of `build_mesh`, which admits
-    direct index arithmetic.
-    """
-    def locate(x):
-        s = x * n_cells
-        idx = np.minimum(s.astype(np.int64), n_cells - 1)
-        return idx, s - idx
-    return locate
-
-
 def _gather(row: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
     return row[idx] * (1.0 - w) + row[idx + 1] * w
 
 
-def _thin_jumps(rng, x, rate, locate, theta_row, theta_max, sampler, downward,
+def _thin_jumps(rng, x, rate, mesh, theta_row, theta_max, sampler, downward,
                 counter):
     """State-dependent jumps by thinning at the dominating rate."""
     pending = rng.poisson(lam=rate, size=x.size)
@@ -129,7 +118,7 @@ def _thin_jumps(rng, x, rate, locate, theta_row, theta_max, sampler, downward,
         active = np.flatnonzero(pending > 0)
         if active.size == 0:
             return
-        idx, w = locate(x[active])
+        idx, w = mesh.locate(x[active])
         theta_here = _gather(theta_row, idx, w)
         accept = rng.uniform(size=active.size) * theta_max < theta_here
         hit = active[accept]
@@ -150,7 +139,7 @@ def simulate_paths(spec: ProblemSpec, controls: ControlTable,
     if not span > 0.0:
         raise ValueError("start_t must lie in [0, horizon)")
     grid = controls.time_grid
-    # row m holds time-to-go grid.horizon - m dt, so the horizons must agree;
+    # level m holds time-to-go grid.horizon - m dt, so the horizons must agree;
     # the rule of `solve_backward`, written so that a NaN horizon fails
     if not abs(grid.horizon - spec.horizon) <= 1e-10 * spec.horizon:
         raise ValueError(f"control fields cover [0, {grid.horizon}], not the "
@@ -167,7 +156,7 @@ def simulate_paths(spec: ProblemSpec, controls: ControlTable,
     sampler_up = make_jump_sampler(spec.jump_density_2)
     rate_down = spec.nu1 * spec.theta_max * dt
     rate_up = spec.nu2 * spec.theta_max * dt
-    locate = _make_locator(controls.mesh.n_cells)
+    mesh = controls.mesh
 
     n_chunks = (cfg.n_paths + cfg.chunk_size - 1) // cfg.chunk_size
     seeds = np.random.SeedSequence(cfg.master_seed).spawn(n_chunks)
@@ -183,12 +172,12 @@ def simulate_paths(spec: ProblemSpec, controls: ControlTable,
         x_min = x.copy()
         x_max = x.copy()
         for k in range(n_steps):
-            j = slice_of_step[k]
-            idx, w = locate(x)
-            q = _gather(controls.q[j], idx, w)
-            lam = _gather(controls.lam[j], idx, w)
-            th1 = _gather(controls.theta1[j], idx, w)
-            th2 = _gather(controls.theta2[j], idx, w)
+            level = controls.levels[slice_of_step[k]]
+            idx, w = mesh.locate(x)
+            q = _gather(level.q_star, idx, w)
+            lam = _gather(level.lambda_star, idx, w)
+            th1 = _gather(level.theta1_star, idx, w)
+            th2 = _gather(level.theta2_star, idx, w)
 
             acc_dis += (np.asarray(spec.disutility_f(x), dtype=float)
                         + np.asarray(spec.cost_h(q), dtype=float))
@@ -204,10 +193,10 @@ def simulate_paths(spec: ProblemSpec, controls: ControlTable,
             x = np.clip(x + drift * dt + spec.sigma * a_x * sqrt_dt * noise,
                         0.0, 1.0)
             if rate_down > 0.0:
-                _thin_jumps(rng, x, rate_down, locate, controls.theta1[j],
+                _thin_jumps(rng, x, rate_down, mesh, level.theta1_star,
                             spec.theta_max, sampler_down, True, jumps_down)
             if rate_up > 0.0:
-                _thin_jumps(rng, x, rate_up, locate, controls.theta2[j],
+                _thin_jumps(rng, x, rate_up, mesh, level.theta2_star,
                             spec.theta_max, sampler_up, False, jumps_up)
             np.clip(x, 0.0, 1.0, out=x)
             np.minimum(x_min, x, out=x_min)

@@ -95,16 +95,13 @@ class Snapshot:
 class ControlTable:
     """Control fields of a solve (the Monte Carlo oracle's input).
 
-    Row m of each array holds time level m of `time_grid`, m < n_steps: the
-    terminal level has no controls.
+    `levels[m]` holds time level m of `time_grid`, m < n_steps (the terminal
+    level has none); the levels below an ergodic exit share step m*'s object.
     """
 
     time_grid: TimeGrid
     mesh: Mesh
-    q: np.ndarray               # (n_steps, n_nodes)
-    lam: np.ndarray
-    theta1: np.ndarray
-    theta2: np.ndarray
+    levels: list[ControlField]
 
 
 @dataclass
@@ -409,17 +406,9 @@ def solve_backward(spec: ProblemSpec, mesh: Mesh, time_grid: TimeGrid,
     snapshots += [Snapshot(time=t, values=unmarched(level))
                   for level, t in snap_levels.items() if level < m_exit]
     final_value = unmarched(0) if m_exit else phi
-    table = None
-    if record_controls:
-        recorded = [controls] * m_exit + recorded[::-1]
-        table = ControlTable(
-            time_grid=time_grid,
-            mesh=mesh,
-            q=np.stack([c.q_star for c in recorded]),
-            lam=np.stack([c.lambda_star for c in recorded]),
-            theta1=np.stack([c.theta1_star for c in recorded]),
-            theta2=np.stack([c.theta2_star for c in recorded]),
-        )
+    table = (ControlTable(time_grid=time_grid, mesh=mesh,
+                          levels=[controls] * m_exit + recorded[::-1])
+             if record_controls else None)
     snapshots.sort(key=lambda s: s.time)
     return SolveResult(final_value=final_value, final_controls=controls,
                        ergodic=ergodic,

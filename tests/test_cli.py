@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import json
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -162,11 +163,16 @@ def test_run_experiments_runs_every_shipped_config(tmp_path, monkeypatch,
         assert validate_spec(build_spec(cfg)) == []
 
 
-def test_bench_pairs_alternates_sides_and_counts_wins(tmp_path, monkeypatch):
+def load_bench_pairs():
     module_spec = importlib.util.spec_from_file_location(
         "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
     script = importlib.util.module_from_spec(module_spec)
     module_spec.loader.exec_module(script)
+    return script
+
+
+def test_bench_pairs_alternates_sides_and_counts_wins(tmp_path, monkeypatch):
+    script = load_bench_pairs()
     calls = []
 
     def fake_run_all(root, trace):
@@ -190,6 +196,23 @@ def test_bench_pairs_alternates_sides_and_counts_wins(tmp_path, monkeypatch):
     assert (row["change_wins"], row["change_losses"]) == (3, 0)
     assert row["parent"]["median"] == pytest.approx(2.4)
     assert row["change"]["median"] == pytest.approx(1.3)
+
+
+def test_bench_pairs_keeps_each_result_under_its_workload(monkeypatch):
+    script = load_bench_pairs()
+    requested = []
+
+    def fake_run(cmd, cwd, **kwargs):
+        name = cmd[cmd.index("--workload") + 1]
+        requested.append((name, cmd[cmd.index("--trace") + 1]))
+        return subprocess.CompletedProcess(
+            cmd, 0, stdout=f"report of {name}\n" + json.dumps({"ran": name}))
+    monkeypatch.setattr(script.subprocess, "run", fake_run)
+    names = [w["name"] for w in
+             json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    results = script.run_all(ROOT, trace=True)
+    assert requested == [(name, "1") for name in names]
+    assert results == {name: {"ran": name} for name in names}
 
 
 def test_resolution_rejects_nonfinite_and_noninteger_values():
@@ -283,6 +306,13 @@ def test_invalid_model_exits_one(tmp_path):
     assert code == 1
 
 
+# how the error names the type each key must have
+KEY_TYPE = {"snapshot_times": "a list of numbers",
+            "sweep.values": "a list of numbers",
+            "mc.n_paths": "an integer", "solver.max_iter": "an integer",
+            "model.sigma": "a number"}
+
+
 @pytest.mark.parametrize("statement, bad_key", [
     ("snapshot_times = 5.0", "snapshot_times"),
     ("command = 'sweep'; sweep.param = 'psi0'; sweep.values = 3",
@@ -291,13 +321,20 @@ def test_invalid_model_exits_one(tmp_path):
     ("command = 'sweep'; sweep.param = 'psi0'; sweep.values = ['a']",
      "sweep.values"),
     ("model.sigma = 1", None),          # a float key accepts an int
+    # bool is a subclass of int, but no key takes one
+    ("mc.n_paths = True", "mc.n_paths"),
+    ("solver.max_iter = True", "solver.max_iter"),
+    ("model.sigma = True", "model.sigma"),
+    ("command = 'sweep'; sweep.param = 'psi0'; sweep.values = [True]",
+     "sweep.values"),
 ])
 def test_value_must_have_the_type_of_its_default(tmp_path, capsys, statement,
                                                  bad_key):
     code, _ = run_cli(tmp_path, TINY + "; " + statement)
     assert code == (1 if bad_key else 0)
     if bad_key:
-        assert f"{bad_key} must be a list" in capsys.readouterr().err
+        assert (f"{bad_key} must be {KEY_TYPE[bad_key]}"
+                in capsys.readouterr().err)
 
 
 def test_coefficient_table_negative_between_samples_exits_one(tmp_path, capsys):

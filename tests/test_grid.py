@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robpop.grid import build_mesh, build_time_grid, interp_weights_many
+from robpop.grid import build_mesh, build_time_grid
 
 
 def test_build_mesh_benchmark_resolution():
@@ -31,46 +31,38 @@ def test_mesh_nodes_equally_spaced():
 def test_interp_weights_hand_example():
     # 0.37 = 0.3 * 0.3 + 0.7 * 0.4 on the ten-cell mesh
     mesh = build_mesh(10)
-    idx, lw, rw = interp_weights_many(mesh, [0.37])
+    idx, w = mesh.locate([0.37])
     assert idx[0] == 3
-    assert lw[0] == pytest.approx(0.3, abs=1e-12)
-    assert rw[0] == pytest.approx(0.7, abs=1e-12)
+    assert 1.0 - w[0] == pytest.approx(0.3, abs=1e-12)
+    assert w[0] == pytest.approx(0.7, abs=1e-12)
 
 
 def test_interp_weights_left_endpoint():
     mesh = build_mesh(10)
-    idx, lw, rw = interp_weights_many(mesh, [0.0])
-    assert (idx[0], lw[0], rw[0]) == (0, 1.0, 0.0)
+    idx, w = mesh.locate([0.0])
+    assert (idx[0], w[0]) == (0, 0.0)
 
 
 def test_interp_weights_right_endpoint_convention():
     mesh = build_mesh(10)
-    idx, lw, rw = interp_weights_many(mesh, [1.0])
-    assert (idx[0], lw[0], rw[0]) == (9, 0.0, 1.0)
-
-
-def test_interp_weights_exact_node_hits():
-    mesh = build_mesh(13)
-    idx, lw, rw = interp_weights_many(mesh, mesh.nodes[:-1])
-    assert idx.tolist() == list(range(13))
-    assert np.all(lw == 1.0) and np.all(rw == 0.0)
+    idx, w = mesh.locate([1.0])
+    assert (idx[0], w[0]) == (9, 1.0)
 
 
 def test_interp_weights_rejects_outside_domain():
     mesh = build_mesh(4)
-    for y in (-1e-9, 1.0 + 1e-9):
+    for y in (-1e-9, 1.0 + 1e-9, np.nan):
         with pytest.raises(ValueError):
-            interp_weights_many(mesh, [y])
+            mesh.locate([y])
 
 
 @settings(max_examples=200, deadline=None)
 @given(y=st.floats(0.0, 1.0), n_cells=st.integers(2, 400))
 def test_interp_reconstructs_point(y, n_cells):
     mesh = build_mesh(n_cells)
-    (idx,), (lw,), (rw,) = interp_weights_many(mesh, [y])
-    assert 0.0 <= lw <= 1.0 and 0.0 <= rw <= 1.0
-    assert lw + rw == pytest.approx(1.0, abs=1e-14)
-    recon = lw * mesh.nodes[idx] + rw * mesh.nodes[idx + 1]
+    (idx,), (w,) = mesh.locate([y])
+    assert 0 <= idx < n_cells and 0.0 <= w <= 1.0
+    recon = (1.0 - w) * mesh.nodes[idx] + w * mesh.nodes[idx + 1]
     assert recon == pytest.approx(y, abs=1e-13)
 
 
@@ -81,8 +73,8 @@ def test_interp_exact_on_affine_functions(slope, offset, n_cells):
     mesh = build_mesh(n_cells)
     values = slope * mesh.nodes + offset
     probes = np.linspace(0.0, 1.0, 113)
-    idx, lw, rw = interp_weights_many(mesh, probes)
-    interped = lw * values[idx] + rw * values[idx + 1]
+    idx, w = mesh.locate(probes)
+    interped = (1.0 - w) * values[idx] + w * values[idx + 1]
     np.testing.assert_allclose(interped, slope * probes + offset, atol=1e-12)
 
 
@@ -102,3 +94,7 @@ def test_time_grid_rejects_nonpositive():
         build_time_grid(0.0, 0.1)
     with pytest.raises(ValueError):
         build_time_grid(1.0, -0.1)
+    for horizon, dt in ((np.inf, 0.1), (np.nan, 0.1), (1.0, np.inf),
+                        (1.0, np.nan)):
+        with pytest.raises(ValueError, match="finite and positive"):
+            build_time_grid(horizon, dt)

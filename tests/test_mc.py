@@ -5,7 +5,7 @@ from dataclasses import replace
 import robpop as rp
 from robpop.mc import SimConfig, make_jump_sampler
 from robpop.model import tabulated, tabulated_density, uniform_density
-from robpop.solver import ControlTable
+from robpop.solver import ControlField, ControlTable
 
 ZERO_FN = tabulated([[0.0, 0.0], [1.0, 0.0]])
 ONE_FN = tabulated([[0.0, 1.0], [1.0, 1.0]])
@@ -14,10 +14,13 @@ ONE_FN = tabulated([[0.0, 1.0], [1.0, 1.0]])
 def constant_table(horizon, q=0.0, lam=0.0, th1=1.0, th2=1.0):
     """One control slice held over the whole horizon: a one-step time grid."""
     mesh = rp.build_mesh(10)
-    one = np.ones((1, mesh.n_nodes))
+    one = np.ones(mesh.n_nodes)
     return ControlTable(time_grid=rp.build_time_grid(horizon, horizon),
-                        mesh=mesh, q=q * one, lam=lam * one, theta1=th1 * one,
-                        theta2=th2 * one)
+                        mesh=mesh,
+                        levels=[ControlField(q_star=q * one,
+                                             lambda_star=lam * one,
+                                             theta1_star=th1 * one,
+                                             theta2_star=th2 * one)])
 
 
 # ---------------------------------------------------------------------------
