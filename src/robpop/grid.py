@@ -68,7 +68,12 @@ def build_time_grid(horizon: float, dt: float) -> TimeGrid:
     # written as "not within bound" so that NaN and infinity fail the check
     if not (0.0 < dt < math.inf and 0.0 < horizon < math.inf):
         raise ValueError("horizon and dt must be finite and positive")
-    n_steps = int(round(horizon / dt))
+    steps = horizon / dt
+    # the quotient of two finite floats may overflow to inf or past int64
+    if steps >= 2.0 ** 63:
+        raise ValueError(f"horizon/dt = {steps} is not a finite int64 step "
+                         f"count")
+    n_steps = int(round(steps))
     if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-10 * horizon:
         raise ValueError(f"dt={dt} does not evenly divide horizon={horizon}")
     return TimeGrid(dt=dt, horizon=horizon, n_steps=n_steps)

@@ -20,7 +20,6 @@ from typing import Literal
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import xlogy
 
 from .grid import Mesh
 from .model import JumpDensity
@@ -31,7 +30,8 @@ TransformKind = Literal["down", "up"]
 def entropy_penalty(theta):
     """Relative-entropy rate theta ln theta + 1 - theta, with 0 ln 0 = 0."""
     theta = np.asarray(theta, dtype=float)
-    return xlogy(theta, theta) + 1.0 - theta
+    # one log; the guard keeps log(0) from being evaluated
+    return theta * np.log(np.where(theta == 0.0, 1.0, theta)) + 1.0 - theta
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,9 +3,12 @@
 Paths follow the distorted dynamics directly: Euler-Maruyama on the
 continuous part with drift a(x) r(q) + sigma lambda a(x) + gamma1 -
 (gamma0+gamma1) x and diffusion sigma a(x), state projected back into [0, 1]
-after every increment, and distorted jumps simulated by thinning (candidates
-at rate nu * theta_max, accepted with probability theta(t, x)/theta_max,
-sizes drawn by inverse CDF from the jump-density table).
+after every increment, and distorted jumps simulated by thinning at each
+control level's own bound: per step, one Poisson count K ~ Poisson(n nu
+max(theta row) dt) of candidates over all n paths, each assigned to a
+uniformly chosen path (the law of independent per-path counts), accepted with
+probability theta(t, x) / max(theta row), sizes drawn by inverse CDF from
+the jump-density table.
 The running cost f(x) + h(q) - lambda^2/(2 psi0) - sum_i (nu_i/psi_i)
 (theta_i ln theta_i + 1 - theta_i) is integrated with the left-endpoint
 rule; control values come from the nearest PDE time level, linearly
@@ -13,7 +16,10 @@ interpolated in space by `Mesh.locate`.
 
 Paths are processed in fixed-size chunks, each chunk driven by its own
 deterministic substream spawned from the master seed, so identical
-configurations reproduce bitwise identical estimates.
+configurations reproduce bitwise identical estimates. The single count per
+step at each level's bound replaced thinning at the global rate nu *
+theta_max with a count drawn per path: the estimator is the same in law, but
+the random stream, and so every seeded estimate, changed with it.
 """
 
 from __future__ import annotations
@@ -72,6 +78,7 @@ class PathBatch:
     penalty: np.ndarray
     jumps_down: np.ndarray
     jumps_up: np.ndarray
+    thin_candidates: np.ndarray     # jump candidates proposed, both kinds
     x_min: np.ndarray
     x_max: np.ndarray
 
@@ -110,26 +117,35 @@ def _gather(row: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
     return row[idx] * (1.0 - w) + row[idx + 1] * w
 
 
-def _thin_jumps(rng, x, rate, mesh, theta_row, theta_max, sampler, downward,
-                counter):
-    """State-dependent jumps by thinning at the dominating rate."""
-    pending = rng.poisson(lam=rate, size=x.size)
-    while True:
-        active = np.flatnonzero(pending > 0)
-        if active.size == 0:
-            return
+def _thin_jumps(rng, x, nu_dt, mesh, theta_row, sampler, downward, jumps,
+                candidates):
+    """State-dependent jumps by thinning at nu * max(theta_row).
+
+    The linear interpolant of `Mesh.locate` never exceeds the row's largest
+    node value, so that bound dominates theta(x) and thinning at it is exact
+    (Lewis & Shedler 1979); a zero row draws no candidates. One Poisson total
+    is split over uniformly chosen paths, and candidates that land on the same
+    path are applied in turn.
+    """
+    bound = float(theta_row.max())
+    pending = np.sort(rng.integers(x.size,
+                                   size=rng.poisson(nu_dt * bound * x.size)))
+    while pending.size:
+        first = np.ones(pending.size, dtype=bool)
+        first[1:] = pending[1:] != pending[:-1]
+        active = pending[first]
+        pending = pending[~first]
+        candidates[active] += 1
         idx, w = mesh.locate(x[active])
         theta_here = _gather(theta_row, idx, w)
-        accept = rng.uniform(size=active.size) * theta_max < theta_here
-        hit = active[accept]
+        hit = active[rng.uniform(size=active.size) * bound < theta_here]
         if hit.size:
             z = sampler.sample(rng, hit.size)
             if downward:
                 x[hit] = (1.0 - z) * x[hit]
             else:
                 x[hit] = z + (1.0 - z) * x[hit]
-            counter[hit] += 1
-        pending[active] -= 1
+            jumps[hit] += 1
 
 
 def simulate_paths(spec: ProblemSpec, controls: ControlTable,
@@ -154,8 +170,6 @@ def simulate_paths(spec: ProblemSpec, controls: ControlTable,
         grid.nearest(cfg.start_t + dt * np.arange(n_steps)), grid.n_steps - 1)
     sampler_down = make_jump_sampler(spec.jump_density_1)
     sampler_up = make_jump_sampler(spec.jump_density_2)
-    rate_down = spec.nu1 * spec.theta_max * dt
-    rate_up = spec.nu2 * spec.theta_max * dt
     mesh = controls.mesh
 
     n_chunks = (cfg.n_paths + cfg.chunk_size - 1) // cfg.chunk_size
@@ -169,6 +183,7 @@ def simulate_paths(spec: ProblemSpec, controls: ControlTable,
         acc_pen = np.zeros(n)
         jumps_down = np.zeros(n, dtype=np.int64)
         jumps_up = np.zeros(n, dtype=np.int64)
+        candidates = np.zeros(n, dtype=np.int64)
         x_min = x.copy()
         x_max = x.copy()
         for k in range(n_steps):
@@ -192,12 +207,10 @@ def simulate_paths(spec: ProblemSpec, controls: ControlTable,
             noise = rng.standard_normal(n)
             x = np.clip(x + drift * dt + spec.sigma * a_x * sqrt_dt * noise,
                         0.0, 1.0)
-            if rate_down > 0.0:
-                _thin_jumps(rng, x, rate_down, mesh, level.theta1_star,
-                            spec.theta_max, sampler_down, True, jumps_down)
-            if rate_up > 0.0:
-                _thin_jumps(rng, x, rate_up, mesh, level.theta2_star,
-                            spec.theta_max, sampler_up, False, jumps_up)
+            _thin_jumps(rng, x, spec.nu1 * dt, mesh, level.theta1_star,
+                        sampler_down, True, jumps_down, candidates)
+            _thin_jumps(rng, x, spec.nu2 * dt, mesh, level.theta2_star,
+                        sampler_up, False, jumps_up, candidates)
             np.clip(x, 0.0, 1.0, out=x)
             np.minimum(x_min, x, out=x_min)
             np.maximum(x_max, x, out=x_max)
@@ -206,7 +219,8 @@ def simulate_paths(spec: ProblemSpec, controls: ControlTable,
         penalty = acc_pen * dt
         parts.append(PathBatch(total=disutility + penalty, disutility=disutility,
                                penalty=penalty, jumps_down=jumps_down,
-                               jumps_up=jumps_up, x_min=x_min, x_max=x_max))
+                               jumps_up=jumps_up, thin_candidates=candidates,
+                               x_min=x_min, x_max=x_max))
 
     return PathBatch(*[np.concatenate([getattr(p, f.name) for p in parts])
                        for f in dataclasses.fields(PathBatch)])

@@ -352,6 +352,12 @@ def test_nonfinite_or_noninteger_value_exits_one(tmp_path, statement):
     assert code == 1
 
 
+def test_step_count_beyond_int64_exits_one(tmp_path, capsys):
+    code, _ = run_cli(tmp_path, TINY + "; time.dt = 1e-300")
+    assert code == 1
+    assert "int64 step count" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("statement, key", [("solver.max_iter = 0", "max_iter"),
                                             ("solver.tol = -1.0", "tol")])
 def test_bad_policy_setting_exits_one(tmp_path, capsys, statement, key):

@@ -98,3 +98,7 @@ def test_time_grid_rejects_nonpositive():
                         (1.0, np.nan)):
         with pytest.raises(ValueError, match="finite and positive"):
             build_time_grid(horizon, dt)
+    # horizon/dt overflows to inf, or does not fit an int64
+    for horizon, dt in ((1e300, 1e-300), (1.0, 1e-300)):
+        with pytest.raises(ValueError, match="int64 step count"):
+            build_time_grid(horizon, dt)

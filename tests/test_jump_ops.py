@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -185,3 +187,17 @@ def test_entropy_penalty_convention():
     assert entropy_penalty(0.0) == pytest.approx(1.0)  # 0 ln 0 = 0
     assert entropy_penalty(1.0) == pytest.approx(0.0)
     assert float(entropy_penalty(2.0)) > 0.0
+
+
+def test_entropy_penalty_matches_xlogy():
+    theta = np.concatenate(([0.0, 1e-300, 1.0, 100.0],
+                            np.random.default_rng(7).uniform(0.0, 100.0, 1000),
+                            np.random.default_rng(8).uniform(0.9, 1.1, 1000)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = entropy_penalty(theta)
+        assert entropy_penalty(0.0) == 1.0
+    assert np.all(np.isfinite(got))
+    assert got[0] == 1.0
+    np.testing.assert_allclose(got, xlogy(theta, theta) + 1.0 - theta,
+                               rtol=1e-15, atol=1e-15)

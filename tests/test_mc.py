@@ -100,8 +100,10 @@ def test_states_stay_in_unit_interval():
     assert batch.x_max.max() <= 1.0
 
 
-@pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0, 2.0])
 def test_thinning_matches_poisson_rate(theta):
+    # a constant row is its own bound: every candidate is a jump, and a zero
+    # row proposes none
     spec = replace(rp.make_paper_spec(False), theta_max=4.0, horizon=2.0)
     cfg = SimConfig(dt_sim=0.001, n_paths=4_000, master_seed=17)
     batch = rp.simulate_paths(spec, constant_table(spec.horizon, th1=theta,
@@ -110,6 +112,28 @@ def test_thinning_matches_poisson_rate(theta):
     tolerance = 4.0 * np.sqrt(expected)
     assert abs(batch.jumps_down.sum() - expected) <= tolerance
     assert abs(batch.jumps_up.sum() - expected) <= tolerance
+    assert (abs(batch.thin_candidates.sum() - 2.0 * expected)
+            <= 4.0 * np.sqrt(2.0 * expected))
+
+
+def test_thinning_at_the_row_bound_with_theta_varying_in_x():
+    # at x = 0 the growth a, the drift (gamma1 = 0) and the diffusion vanish
+    # and a down jump maps 0 to 0, so paths never move; theta runs from 0.3
+    # at x = 0 to 3.0 at x = 1, so candidates arrive at nu1 * 3.0 and one in
+    # ten is accepted
+    spec = replace(rp.make_paper_spec(False), nu2=0.0, gamma1=0.0,
+                   horizon=2.0)
+    table = constant_table(spec.horizon, th1=np.linspace(0.3, 3.0, 11))
+    cfg = SimConfig(dt_sim=0.001, n_paths=4_000, master_seed=31, start_x=0.0)
+    batch = rp.simulate_paths(spec, table, cfg)
+    assert batch.x_max.max() == 0.0
+    assert batch.jumps_up.sum() == 0
+    jump_rate = spec.nu1 * 0.3 * spec.horizon
+    assert (abs(batch.jumps_down.mean() - jump_rate)
+            <= 4.0 * np.sqrt(jump_rate / cfg.n_paths))
+    candidates = spec.nu1 * 3.0 * spec.horizon * cfg.n_paths
+    assert (abs(batch.thin_candidates.sum() - candidates)
+            <= 4.0 * np.sqrt(candidates))
 
 
 def test_penalty_part_never_positive():
