@@ -7,8 +7,11 @@ times, swapping which side goes first in every other pair, then one
 ``--trace 1`` run on each side. Each run's last JSON line is kept as printed,
 under the name of the workload it was run for. For
 each workload and end-to-end metric the file also holds each side's median
-and quartiles, the change/parent ratio of the medians, and how many pairs the
-change won (ties count for neither side).
+and quartiles, the change/parent ratio of the medians, how many pairs the
+change won (ties count for neither side), the metric's bound from
+BENCHMARK.json, whether the change's median is within it (at most the
+parent's median times 1 + bound), and whether the gap between the medians
+exceeds the parent's quartile spread q3 - q1.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --pairs 10 --out BENCH_N.json
@@ -38,11 +41,12 @@ def run_all(root: Path, trace: bool) -> dict[str, dict]:
     return results
 
 
-def summarize(pairs: list[dict], metrics: list[str]) -> dict:
+def summarize(pairs: list[dict], bounds: dict[str, float]) -> dict:
+    """Per workload and metric (name -> bound): quartiles, wins, verdicts."""
     out = {}
     for workload in pairs[0]["parent"]:
         rows = {}
-        for metric in metrics:
+        for metric, bound in bounds.items():
             sides = {side: [p[side][workload]["metrics"][metric]["value"]
                             for p in pairs] for side in ("parent", "change")}
             stats = {side: dict(zip(("q1", "median", "q3"),
@@ -50,12 +54,17 @@ def summarize(pairs: list[dict], metrics: list[str]) -> dict:
                      for side, v in sides.items()}
             wins = sum(c < p for p, c in zip(sides["parent"], sides["change"]))
             losses = sum(c > p for p, c in zip(sides["parent"], sides["change"]))
+            parent, change = stats["parent"], stats["change"]
             rows[metric] = {
                 **stats,
-                "ratio_of_medians": (stats["change"]["median"]
-                                     / stats["parent"]["median"]),
+                "ratio_of_medians": change["median"] / parent["median"],
                 "change_wins": wins, "change_losses": losses,
-                "pairs": len(pairs)}
+                "pairs": len(pairs), "bound": bound,
+                "within_bound": (change["median"]
+                                 <= parent["median"] * (1.0 + bound)),
+                "gap_exceeds_parent_spread": (
+                    abs(change["median"] - parent["median"])
+                    > parent["q3"] - parent["q1"])}
         out[workload] = rows
     return out
 
@@ -67,8 +76,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--out", type=Path, required=True)
     ns = parser.parse_args(argv)
-    metrics = [m["name"] for m in json.loads(
-        (ns.change / "BENCHMARK.json").read_text())["end_to_end"]]
+    bounds = {m["name"]: m["bound"] for m in json.loads(
+        (ns.change / "BENCHMARK.json").read_text())["end_to_end"]}
 
     pairs = []
     for i in range(ns.pairs):
@@ -83,7 +92,7 @@ def main(argv=None) -> int:
 
     ns.out.write_text(json.dumps({
         "command": "python3 perfbench/run.py --workload NAME",
-        "summary": summarize(pairs, metrics),
+        "summary": summarize(pairs, bounds),
         "pairs": pairs,
         "traced": traced,
     }, indent=1) + "\n")

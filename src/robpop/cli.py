@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid import build_mesh, build_time_grid
+from .jump_ops import N_QUAD
 from .mc import SimConfig, simulate_value
 from .model import (ProblemSpec, declining_rate, logistic_growth, tabulated,
                     tabulated_density, tent_disutility, tenth_cost,
@@ -58,7 +59,8 @@ NUMBER_LISTS = ("snapshot_times", "sweep.values")
 SWEEPABLE = ("psi0", "psi1", "psi2", "psi", "sigma", "gamma0", "gamma1",
              "nu1", "nu2", "lambda_max", "theta_max", "q_max")
 
-# canonical key order; this is also the provenance order
+# canonical key order (also the provenance order); the solver, q grid and
+# oracle defaults are the library's
 DEFAULTS: dict[str, object] = {
     "command": "solve",
     "preset": "uncontrolled",
@@ -74,7 +76,7 @@ DEFAULTS: dict[str, object] = {
     "model.theta_max": 100.0,
     "model.q_max": 1.0,
     "model.horizon": 50.0,
-    "model.q_grid_size": 2,
+    "model.q_grid_size": ProblemSpec.q_grid_size,
     "model.growth_a": "logistic",
     "model.growth_rate_r": "",     # preset-dependent default
     "model.cost_h": "",            # preset-dependent default
@@ -83,18 +85,17 @@ DEFAULTS: dict[str, object] = {
     "model.jump2": [0.1, 0.9],
     "mesh.n_cells": 500,
     "time.dt": 0.005,
-    "solver.tol": 1e-9,
-    "solver.max_iter": 50,
-    "solver.n_quad": 64,
+    "solver.tol": PolicyConfig.tol,
+    "solver.max_iter": PolicyConfig.max_iter,
+    "solver.n_quad": N_QUAD,
     "snapshot_times": [],
     "sweep.param": "",
     "sweep.values": [],
-    "mc.dt_sim": 5e-4,
-    "mc.n_paths": 100_000,
-    "mc.seed": 0,
-    "mc.start_x": 0.5,
+    "mc.dt_sim": SimConfig.dt_sim,
+    "mc.n_paths": SimConfig.n_paths,
+    "mc.seed": SimConfig.master_seed,
+    "mc.start_x": SimConfig.start_x,
     "mc.gate_abs": 0.02,
-    "mc.chunk_size": 32_768,
 }
 
 
@@ -251,16 +252,6 @@ def _write_csv(path: Path, provenance: str, header: list[str], rows) -> None:
             fh.write(",".join(_fmt_num(v) for v in row) + "\n")
 
 
-def read_provenance(path) -> str:
-    """Recover the config text embedded in an emitted CSV."""
-    with open(path) as fh:
-        first = fh.readline().rstrip("\n")
-    prefix = "# config: "
-    if not first.startswith(prefix):
-        raise ConfigError(f"{path} carries no provenance line")
-    return first[len(prefix):]
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -327,7 +318,9 @@ def _run_sweep(cfg: RunConfig, base: ProblemSpec, out: Path, quiet: bool) -> int
     if not _valid(specs):
         return 1
     mesh, tg, solver_kw = _run_setup(cfg, base)
-    workers = min(len(os.sched_getaffinity(0)), len(specs))
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    workers = min(cores, len(specs))
     results = solve_many(specs, mesh, tg, workers=workers, **solver_kw)
 
     rows = []
@@ -352,10 +345,9 @@ def _run_mc_check(cfg: RunConfig, spec: ProblemSpec, out: Path, quiet: bool) -> 
     sim = SimConfig(dt_sim=float(cfg["mc.dt_sim"]),
                     n_paths=int(cfg["mc.n_paths"]),
                     master_seed=int(cfg["mc.seed"]),
-                    start_x=float(cfg["mc.start_x"]),
-                    chunk_size=int(cfg["mc.chunk_size"]))
+                    start_x=float(cfg["mc.start_x"]))
     mesh, tg, solver_kw = _run_setup(cfg, spec)
-    sim.check_spacing(tg.dt)
+    sim.n_steps(spec.horizon, tg.dt)    # bad settings fail before the solve
     result = solve_backward(spec, mesh, tg, record_controls=True, **solver_kw)
     pde_value = float(np.interp(sim.start_x, mesh.nodes, result.final_value))
     estimate = simulate_value(spec, result.control_table, sim)

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+LEVEL_TOL = 1e-10   # a time is a level m * dt within LEVEL_TOL * horizon
+
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
@@ -51,10 +53,14 @@ class TimeGrid:
         """The m with m * dt = t, under the tolerance of `build_time_grid`."""
         m = int(self.nearest(t))
         # written as "not within bound" so that a NaN time fails the check
-        if not abs(m * self.dt - t) <= 1e-10 * self.horizon:
+        if not abs(m * self.dt - t) <= LEVEL_TOL * self.horizon:
             raise ValueError(f"time {t} is not a level m * {self.dt} of the "
                              f"time grid, 0 <= m <= {self.n_steps}")
         return m
+
+    def ends_at(self, horizon: float) -> bool:
+        """Whether the last level is `horizon`; false for a NaN horizon."""
+        return abs(self.horizon - horizon) <= LEVEL_TOL * horizon
 
 
 def build_mesh(n_cells: int) -> Mesh:
@@ -68,13 +74,16 @@ def build_time_grid(horizon: float, dt: float) -> TimeGrid:
     # written as "not within bound" so that NaN and infinity fail the check
     if not (0.0 < dt < math.inf and 0.0 < horizon < math.inf):
         raise ValueError("horizon and dt must be finite and positive")
-    steps = horizon / dt
-    # the quotient of two finite floats may overflow to inf or past int64
-    if steps >= 2.0 ** 63:
-        raise ValueError(f"horizon/dt = {steps} is not a finite int64 step "
-                         f"count")
-    n_steps = int(round(steps))
-    if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-10 * horizon:
+    n_steps = step_count(horizon, dt, "horizon/dt")
+    if n_steps < 1 or abs(n_steps * dt - horizon) > LEVEL_TOL * horizon:
         raise ValueError(f"dt={dt} does not evenly divide horizon={horizon}")
     return TimeGrid(dt=dt, horizon=horizon, n_steps=n_steps)
 
+
+def step_count(span: float, dt: float, what: str) -> int:
+    """round(span / dt), refused where the quotient of two finite floats
+    overflows to inf or past int64; `what` names it in the error."""
+    steps = span / dt
+    if not steps < 2.0 ** 63:
+        raise ValueError(f"{what} = {steps} is not a finite int64 step count")
+    return int(round(steps))

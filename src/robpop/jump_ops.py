@@ -25,6 +25,7 @@ from .grid import Mesh
 from .model import JumpDensity
 
 TransformKind = Literal["down", "up"]
+N_QUAD = 64     # default quadrature points of a jump expectation
 
 
 def entropy_penalty(theta):
@@ -43,7 +44,8 @@ class JumpQuadrature:
         return self.weights.shape[0]
 
 
-def _transform(kind: TransformKind, z: np.ndarray, x: np.ndarray) -> np.ndarray:
+def post_jump(kind: TransformKind, z: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The state after a jump of size z from x."""
     if kind == "down":
         return (1.0 - z) * x
     return z + (1.0 - z) * x
@@ -51,7 +53,7 @@ def _transform(kind: TransformKind, z: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def build_jump_quadrature(mesh: Mesh, density: JumpDensity,
                           transform_kind: TransformKind,
-                          n_quad: int = 64) -> JumpQuadrature:
+                          n_quad: int = N_QUAD) -> JumpQuadrature:
     """Midpoint-rule quadrature of the jump expectation, one row per node."""
     if n_quad < 2:
         raise ValueError("n_quad must be >= 2")
@@ -68,7 +70,7 @@ def build_jump_quadrature(mesh: Mesh, density: JumpDensity,
         raise ValueError("jump density must be nonnegative with positive mass")
 
     n = mesh.n_nodes
-    ys = np.clip(_transform(transform_kind, z[None, :], mesh.nodes[:, None]), 0.0, 1.0)
+    ys = np.clip(post_jump(transform_kind, z[None, :], mesh.nodes[:, None]), 0.0, 1.0)
     idx, rw = mesh.locate(ys.ravel())
     rows = np.repeat(np.arange(n), z.size)
     w_flat = np.tile(w, n)

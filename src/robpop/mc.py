@@ -14,8 +14,8 @@ The running cost f(x) + h(q) - lambda^2/(2 psi0) - sum_i (nu_i/psi_i)
 rule; control values come from the nearest PDE time level, linearly
 interpolated in space by `Mesh.locate`.
 
-Paths are processed in fixed-size chunks, each chunk driven by its own
-deterministic substream spawned from the master seed, so identical
+Paths are processed in chunks of the constant CHUNK_PATHS, each driven by
+its own deterministic substream spawned from the master seed, so identical
 configurations reproduce bitwise identical estimates. The single count per
 step at each level's bound replaced thinning at the global rate nu *
 theta_max with a count drawn per path: the estimator is the same in law, but
@@ -30,36 +30,43 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jump_ops import entropy_penalty
+from .grid import step_count
+from .jump_ops import entropy_penalty, post_jump
 from .model import JumpDensity, ProblemSpec
 from .solver import ControlTable
 
 JUMP_CDF_NODES = 4097      # knots of the jump-size CDF table a sampler inverts
+# paths simulated together: a cache block, not a setting. One unchunked
+# 100 000-path batch of configs/mc_check.txt took 38.2-43.5 s against
+# 33.4-35.8 s in chunks of this size (3 alternating pairs, 2-vCPU VM).
+CHUNK_PATHS = 32_768
 
 
 @dataclass(frozen=True)
 class SimConfig:
     dt_sim: float = 5e-4
-    n_paths: int = 10_000
+    n_paths: int = 100_000
     master_seed: int = 0
     start_x: float = 0.5
     start_t: float = 0.0
-    chunk_size: int = 32_768
 
     def __post_init__(self):
         # written as "not within bound" so that NaN fails
-        if not (self.dt_sim > 0.0 and self.n_paths >= 1 and self.chunk_size >= 1):
-            raise ValueError("dt_sim, n_paths, and chunk_size must be positive")
+        if not (self.dt_sim > 0.0 and self.n_paths >= 1):
+            raise ValueError("dt_sim and n_paths must be positive")
         if not 0.0 <= self.start_x <= 1.0:
             raise ValueError("start_x must lie in [0, 1]")
-        if not self.start_t >= 0.0:
-            raise ValueError("start_t must lie in [0, horizon)")
 
-    def check_spacing(self, table_dt: float) -> None:
-        """Each simulation step must fall within one control-table step."""
+    def n_steps(self, horizon: float, table_dt: float) -> int:
+        """Simulation steps from start_t to the horizon, at least one; each
+        must fall within one step of a control table of spacing table_dt."""
+        if not 0.0 <= self.start_t < horizon:
+            raise ValueError("start_t must lie in [0, horizon)")
         if not self.dt_sim <= table_dt:
             raise ValueError(f"dt_sim must not exceed the control-table "
                              f"spacing: {self.dt_sim} > {table_dt}")
+        return max(1, step_count(horizon - self.start_t, self.dt_sim,
+                                 "(horizon - start_t)/dt_sim"))
 
 
 @dataclass
@@ -117,7 +124,7 @@ def _gather(row: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
     return row[idx] * (1.0 - w) + row[idx + 1] * w
 
 
-def _thin_jumps(rng, x, nu_dt, mesh, theta_row, sampler, downward, jumps,
+def _thin_jumps(rng, x, nu_dt, mesh, theta_row, sampler, kind, jumps,
                 candidates):
     """State-dependent jumps by thinning at nu * max(theta_row).
 
@@ -140,30 +147,20 @@ def _thin_jumps(rng, x, nu_dt, mesh, theta_row, sampler, downward, jumps,
         theta_here = _gather(theta_row, idx, w)
         hit = active[rng.uniform(size=active.size) * bound < theta_here]
         if hit.size:
-            z = sampler.sample(rng, hit.size)
-            if downward:
-                x[hit] = (1.0 - z) * x[hit]
-            else:
-                x[hit] = z + (1.0 - z) * x[hit]
+            x[hit] = post_jump(kind, sampler.sample(rng, hit.size), x[hit])
             jumps[hit] += 1
 
 
 def simulate_paths(spec: ProblemSpec, controls: ControlTable,
                    cfg: SimConfig) -> PathBatch:
     """Simulate all paths and return per-path integrals and diagnostics."""
-    span = spec.horizon - cfg.start_t
-    if not span > 0.0:
-        raise ValueError("start_t must lie in [0, horizon)")
     grid = controls.time_grid
-    # level m holds time-to-go grid.horizon - m dt, so the horizons must agree;
-    # the rule of `solve_backward`, written so that a NaN horizon fails
-    if not abs(grid.horizon - spec.horizon) <= 1e-10 * spec.horizon:
+    # level m holds time-to-go grid.horizon - m dt, so the horizons must agree
+    if not grid.ends_at(spec.horizon):
         raise ValueError(f"control fields cover [0, {grid.horizon}], not the "
                          f"spec horizon [0, {spec.horizon}]")
-    cfg.check_spacing(grid.dt)
-
-    n_steps = max(1, int(round(span / cfg.dt_sim)))
-    dt = span / n_steps
+    n_steps = cfg.n_steps(spec.horizon, grid.dt)
+    dt = (spec.horizon - cfg.start_t) / n_steps
     sqrt_dt = math.sqrt(dt)
     # the terminal level has no controls
     slice_of_step = np.minimum(
@@ -172,11 +169,11 @@ def simulate_paths(spec: ProblemSpec, controls: ControlTable,
     sampler_up = make_jump_sampler(spec.jump_density_2)
     mesh = controls.mesh
 
-    n_chunks = (cfg.n_paths + cfg.chunk_size - 1) // cfg.chunk_size
+    n_chunks = (cfg.n_paths + CHUNK_PATHS - 1) // CHUNK_PATHS
     seeds = np.random.SeedSequence(cfg.master_seed).spawn(n_chunks)
     parts: list[PathBatch] = []
     for c in range(n_chunks):
-        n = min(cfg.chunk_size, cfg.n_paths - c * cfg.chunk_size)
+        n = min(CHUNK_PATHS, cfg.n_paths - c * CHUNK_PATHS)
         rng = np.random.default_rng(seeds[c])
         x = np.full(n, float(cfg.start_x))
         acc_dis = np.zeros(n)
@@ -208,9 +205,9 @@ def simulate_paths(spec: ProblemSpec, controls: ControlTable,
             x = np.clip(x + drift * dt + spec.sigma * a_x * sqrt_dt * noise,
                         0.0, 1.0)
             _thin_jumps(rng, x, spec.nu1 * dt, mesh, level.theta1_star,
-                        sampler_down, True, jumps_down, candidates)
+                        sampler_down, "down", jumps_down, candidates)
             _thin_jumps(rng, x, spec.nu2 * dt, mesh, level.theta2_star,
-                        sampler_up, False, jumps_up, candidates)
+                        sampler_up, "up", jumps_up, candidates)
             np.clip(x, 0.0, 1.0, out=x)
             np.minimum(x_min, x, out=x_min)
             np.maximum(x_max, x, out=x_max)

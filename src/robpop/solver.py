@@ -32,8 +32,8 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .grid import Mesh, TimeGrid
-from .jump_ops import (JumpQuadrature, apply_nonlocal, build_jump_quadrature,
-                       entropy_penalty)
+from .jump_ops import (N_QUAD, JumpQuadrature, apply_nonlocal,
+                       build_jump_quadrature, entropy_penalty)
 from .local_ops import lambda_field, q_candidates, q_field
 from .model import ProblemSpec, validate_spec
 
@@ -146,7 +146,8 @@ class SchemeOperators:
     first_drift: np.ndarray     # uncontrolled drift (q = 0, lambda = 0)
 
 
-def build_scheme(spec: ProblemSpec, mesh: Mesh, n_quad: int = 64) -> SchemeOperators:
+def build_scheme(spec: ProblemSpec, mesh: Mesh,
+                 n_quad: int = N_QUAD) -> SchemeOperators:
     x = mesh.nodes
     a_vals = np.asarray(spec.growth_a(x), dtype=float)
     base_drift = spec.gamma1 - (spec.gamma0 + spec.gamma1) * x
@@ -287,7 +288,7 @@ def _extract_controls(ops: SchemeOperators, phi: np.ndarray,
 
 
 def step_backward(ops: SchemeOperators, dt: float, phi_next: np.ndarray,
-                  t: float, policy: PolicyConfig | None = None):
+                  t: float, policy: PolicyConfig = PolicyConfig()):
     """One implicit step from the slice phi_next at t + dt down to t.
 
     Policy iteration alternates control extraction on the current iterate
@@ -295,7 +296,6 @@ def step_backward(ops: SchemeOperators, dt: float, phi_next: np.ndarray,
     Returns (values, controls, n_iterations). A non-finite change stops the
     iteration at once; t only names the step in the error.
     """
-    policy = policy or PolicyConfig()
     phi = phi_next
     drift = ops.first_drift     # first slope stencil: the uncontrolled drift
 
@@ -342,9 +342,9 @@ def switching_points(q_field_values: np.ndarray, mesh: Mesh,
 
 
 def solve_backward(spec: ProblemSpec, mesh: Mesh, time_grid: TimeGrid,
-                   policy: PolicyConfig | None = None,
+                   policy: PolicyConfig = PolicyConfig(),
                    snapshot_times: tuple[float, ...] = (),
-                   n_quad: int = 64,
+                   n_quad: int = N_QUAD,
                    record_controls: bool = False,
                    validate: bool = True) -> SolveResult:
     """March the terminal condition Phi(T, .) = 0 back to t = 0.
@@ -364,11 +364,9 @@ def solve_backward(spec: ProblemSpec, mesh: Mesh, time_grid: TimeGrid,
         violations = validate_spec(spec)
         if violations:
             raise ValueError("invalid problem spec:\n" + "\n".join(violations))
-    # the rule of `build_time_grid`, written so that a NaN horizon fails
-    if not abs(time_grid.horizon - spec.horizon) <= 1e-10 * spec.horizon:
+    if not time_grid.ends_at(spec.horizon):
         raise ValueError(f"time grid horizon {time_grid.horizon} differs from "
                          f"the spec horizon {spec.horizon}")
-    policy = policy or PolicyConfig()
     ops = build_scheme(spec, mesh, n_quad=n_quad)
     dt = time_grid.dt
     n_steps = time_grid.n_steps
@@ -427,8 +425,8 @@ def _solve_job(args) -> SolveResult:
 
 
 def solve_many(specs, mesh: Mesh, time_grid: TimeGrid,
-               policy: PolicyConfig | None = None,
-               n_quad: int = 64, workers: int = 1) -> list[SolveResult]:
+               policy: PolicyConfig = PolicyConfig(),
+               n_quad: int = N_QUAD, workers: int = 1) -> list[SolveResult]:
     """Independent solves, optionally dispatched over a process pool."""
     jobs = [(spec, mesh, time_grid, policy, n_quad) for spec in specs]
     if workers <= 1 or len(jobs) <= 1:

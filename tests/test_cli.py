@@ -1,6 +1,8 @@
 import dataclasses
 import importlib.util
+import inspect
 import json
+import os
 import re
 import subprocess
 import sys
@@ -10,8 +12,12 @@ import numpy as np
 import pytest
 
 from robpop.cli import (ConfigError, DEFAULTS, build_spec, execute, main,
-                        parse_config_text, read_provenance, resolve_config)
-from robpop.model import JumpDensity, make_paper_spec, validate_spec
+                        parse_config_text, resolve_config)
+from robpop.jump_ops import build_jump_quadrature
+from robpop.mc import SimConfig
+from robpop.model import JumpDensity, ProblemSpec, make_paper_spec, validate_spec
+from robpop.solver import (PolicyConfig, build_scheme, solve_backward,
+                           solve_many)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -91,6 +97,22 @@ def test_defaults_mirror_benchmark_resolution():
     assert cfg["model.theta_max"] == 100.0
     assert cfg["model.lambda_max"] == 100.0
     assert cfg["model.horizon"] == 50.0
+
+
+def test_solver_and_oracle_defaults_are_the_library_defaults():
+    policy, sim = PolicyConfig(), SimConfig()
+    spec_defaults = {f.name: f.default for f in dataclasses.fields(ProblemSpec)}
+    n_quads = {inspect.signature(fn).parameters["n_quad"].default
+               for fn in (build_jump_quadrature, build_scheme, solve_backward,
+                          solve_many)}
+    assert len(n_quads) == 1
+    library = {"solver.tol": policy.tol, "solver.max_iter": policy.max_iter,
+               "solver.n_quad": n_quads.pop(),
+               "model.q_grid_size": spec_defaults["q_grid_size"],
+               "mc.dt_sim": sim.dt_sim, "mc.n_paths": sim.n_paths,
+               "mc.seed": sim.master_seed, "mc.start_x": sim.start_x}
+    for key, value in library.items():
+        assert (DEFAULTS[key], type(DEFAULTS[key])) == (value, type(value)), key
 
 
 def test_build_spec_from_tables():
@@ -196,6 +218,19 @@ def test_bench_pairs_alternates_sides_and_counts_wins(tmp_path, monkeypatch):
     assert (row["change_wins"], row["change_losses"]) == (3, 0)
     assert row["parent"]["median"] == pytest.approx(2.4)
     assert row["change"]["median"] == pytest.approx(1.3)
+    # parent runs 2.1, 2.4, 2.5: quartiles 2.1 and 2.5 (exclusive method)
+    assert row["bound"] == 0.25
+    assert row["within_bound"] is True
+    assert row["gap_exceeds_parent_spread"] is True
+    rss = json.loads(out.read_text())["summary"]["w"]["peak_rss_mb"]
+    assert rss["bound"] == 0.1
+    # a change 1.3x slower in the median, inside a wide parent spread
+    wide = [{side: {"w": {"metrics": {"wall_s": {"value": v}}}}
+             for side, v in zip(("parent", "change"), values)}
+            for values in ((0.5, 1.2), (1.0, 1.3), (1.5, 1.4))]
+    row = script.summarize(wide, {"wall_s": 0.25})["w"]["wall_s"]
+    assert row["within_bound"] is False
+    assert row["gap_exceeds_parent_spread"] is False
 
 
 def test_bench_pairs_keeps_each_result_under_its_workload(monkeypatch):
@@ -253,7 +288,9 @@ def test_solve_prints_reference_values(tmp_path, capsys):
 def test_roundtrip_provenance_reproduces_run_bitwise(tmp_path):
     code, out1 = run_cli(tmp_path, TINY, name="first")
     assert code == 0
-    config_text = read_provenance(out1 / "value.csv")
+    first = (out1 / "value.csv").read_text().splitlines()[0]
+    assert first.startswith("# config: ")
+    config_text = first.removeprefix("# config: ")
     cfg = resolve_config(parse_config_text(config_text))
     out2 = tmp_path / "second"
     assert execute(cfg, out2, quiet=True) == 0
@@ -429,6 +466,15 @@ def test_sweep_omega1_uses_each_swept_q_max(tmp_path):
         assert f"{left},{right}" == omega1[0]
 
 
+def test_sweep_runs_without_sched_getaffinity(tmp_path, monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity")
+    code, out = run_cli(tmp_path, TINY + "; command = 'sweep'; "
+                        "sweep.param = 'psi0'; sweep.values = [0.25, 1.0]")
+    assert code == 0
+    assert len((out / "sweep.csv").read_text().splitlines()) == 4
+
+
 def test_sweep_joint_psi_axis(tmp_path):
     text = (TINY + "; command = 'sweep'; sweep.param = 'psi'; "
             "sweep.values = [0.25, 1.0]")
@@ -465,7 +511,8 @@ def test_mc_check_gate_failure_exits_three(tmp_path):
 
 @pytest.mark.parametrize("statement", [
     "mc.n_paths = 0", "mc.chunk_size = 0", "mc.dt_sim = -0.002",
-    "mc.start_x = 1.5", "mc.dt_sim = 0.01"])
+    "mc.start_x = 1.5", "mc.dt_sim = 0.01", "mc.dt_sim = 5e-324",
+    "mc.dt_sim = 1e-300"])
 def test_bad_mc_setting_exits_one_before_solving(tmp_path, monkeypatch,
                                                  statement):
     def never(*args, **kwargs):
@@ -478,4 +525,10 @@ def test_bad_mc_setting_exits_one_before_solving(tmp_path, monkeypatch,
 def test_old_provenance_with_mc_start_t_exits_one(tmp_path):
     # builds before mc.start_t was removed wrote "mc.start_t = 0.0"
     code, _ = run_cli(tmp_path, MC_TINY + "; mc.start_t = 0.0")
+    assert code == 1
+
+
+def test_old_provenance_with_mc_chunk_size_exits_one(tmp_path):
+    # builds before the path chunk became a constant wrote this statement
+    code, _ = run_cli(tmp_path, MC_TINY + "; mc.chunk_size = 32768")
     assert code == 1

@@ -3,14 +3,14 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scipy.special import xlogy
 
 from robpop.grid import build_mesh
 from robpop.jump_ops import (JumpQuadrature, apply_expectation, apply_nonlocal,
                              build_jump_quadrature, entropy_penalty)
-from robpop.model import uniform_density
+from robpop.model import tabulated_density, uniform_density
 
 
 def brute_force_distorted_jump(delta, nu, psi, theta_grid):
@@ -132,6 +132,25 @@ def test_rows_nonnegative_and_sum_to_one(lo, width, kind, n_cells):
     dense = quad.weights.toarray()
     assert dense.min() >= 0.0
     np.testing.assert_allclose(dense.sum(axis=1), 1.0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_cells=st.integers(2, 150), n_quad=st.integers(2, 96),
+       kind=st.sampled_from(["down", "up"]),
+       knots=st.lists(st.floats(0.01, 0.99), min_size=2, max_size=6,
+                      unique=True),
+       weights=st.lists(st.floats(0.0, 10.0), min_size=6, max_size=6),
+       c=st.floats(-1e3, 1e3))
+def test_constants_pass_through_random_densities(n_cells, n_quad, kind, knots,
+                                                 weights, c):
+    try:
+        density = tabulated_density(list(zip(knots, weights)))
+        quad = build_jump_quadrature(build_mesh(n_cells), density, kind,
+                                     n_quad=n_quad)
+    except ValueError:
+        reject()        # no mass, or none of it at the quadrature points
+    out = apply_expectation(quad, np.full(quad.n_nodes, c))
+    np.testing.assert_allclose(out, c, rtol=0.0, atol=1e-12 * max(1.0, abs(c)))
 
 
 @settings(max_examples=30, deadline=None)

@@ -84,9 +84,10 @@ def test_bitwise_reproducibility():
     assert (a.mean, a.std_err, a.n_paths) == (b.mean, b.std_err, b.n_paths)
 
 
-def test_chunking_covers_all_paths():
+def test_chunking_covers_all_paths(monkeypatch):
+    monkeypatch.setattr(rp.mc, "CHUNK_PATHS", 128)
     spec = replace(rp.make_paper_spec(False), horizon=0.1)
-    cfg = SimConfig(dt_sim=0.005, n_paths=1_000, master_seed=5, chunk_size=128)
+    cfg = SimConfig(dt_sim=0.005, n_paths=1_000, master_seed=5)
     batch = rp.simulate_paths(spec, constant_table(spec.horizon), cfg)
     assert batch.total.size == 1_000
 
