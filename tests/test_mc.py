@@ -3,8 +3,10 @@ import pytest
 from dataclasses import replace
 
 import robpop as rp
+from robpop.jump_ops import entropy_penalty
 from robpop.mc import SimConfig, make_jump_sampler
-from robpop.model import tabulated, tabulated_density, uniform_density
+from robpop.model import (tabulated, tabulated_density, tent_disutility,
+                          uniform_density)
 from robpop.solver import ControlField, ControlTable
 
 ZERO_FN = tabulated([[0.0, 0.0], [1.0, 0.0]])
@@ -156,6 +158,112 @@ def test_estimate_agrees_with_solver_at_desk_scale():
                             SimConfig(dt_sim=0.002, n_paths=4_000,
                                       master_seed=29))
     assert abs(est.mean - pde_value) <= 3.0 * est.std_err + 0.02
+
+
+# ---------------------------------------------------------------------------
+# node rows: the oracle's shortcut against the per-path composition
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("with_control", [False, True])
+def test_node_rows_match_the_per_path_composition(with_control):
+    # the oracle interpolates node rows of cost, drift and diffusion; the
+    # plain path interpolates the controls and composes the coefficients at
+    # each point. They differ by the interpolation error of the composed
+    # functions: sigma a(x) is quadratic, so the diffusion gap is at most
+    # sigma dx^2 / 4, and the bang-bang q* switch smears the controlled drift
+    # across one cell (measured: cost 1.06e-5 on both presets, drift 1.2e-5
+    # uncontrolled and 9.7e-4 controlled)
+    spec = replace(rp.make_paper_spec(with_control), horizon=2.0)
+    mesh = rp.build_mesh(200)
+    table = rp.solve_backward(spec, mesh, rp.build_time_grid(2.0, 0.005),
+                              record_controls=True).control_table
+    xs = np.linspace(0.0, 1.0, 20_001)
+    idx, w = mesh.locate(xs)
+    nodes = mesh.nodes
+    a_nodes = spec.growth_a(nodes)
+    a_xs = spec.growth_a(xs)
+    diffusion = rp.mc._row("diffusion", spec.sigma * a_nodes)
+    assert (np.abs(rp.mc._lerp(diffusion, idx, w) - spec.sigma * a_xs).max()
+            <= spec.sigma * mesh.dx ** 2 / 4.0 + 1e-12)
+
+    cost_gap = drift_gap = 0.0
+    for level in {id(lv): lv for lv in table.levels}.values():
+        dis, pen, drift, _, _ = rp.mc._level_rows(
+            spec, nodes, a_nodes, spec.disutility_f(nodes), level)
+        q, lam, th1, th2 = (np.interp(xs, nodes, row) for row in (
+            level.q_star, level.lambda_star, level.theta1_star,
+            level.theta2_star))
+        cost = (spec.disutility_f(xs) + spec.cost_h(q)
+                - lam ** 2 / (2.0 * spec.psi0)
+                - (spec.nu1 / spec.psi1) * entropy_penalty(th1)
+                - (spec.nu2 / spec.psi2) * entropy_penalty(th2))
+        plain_drift = (a_xs * spec.growth_rate_r(q) + spec.sigma * lam * a_xs
+                       + spec.gamma1 - (spec.gamma0 + spec.gamma1) * xs)
+        cost_gap = max(cost_gap, np.abs(rp.mc._lerp(dis, idx, w)
+                                        + rp.mc._lerp(pen, idx, w)
+                                        - cost).max())
+        drift_gap = max(drift_gap,
+                        np.abs(rp.mc._lerp(drift, idx, w) - plain_drift).max())
+    assert cost_gap <= 5e-5
+    assert drift_gap <= 2e-3
+
+
+class CallCounter:
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+def test_coefficient_calls_do_not_depend_on_paths_or_steps_per_level():
+    spec = replace(rp.make_paper_spec(True), horizon=0.1)
+    table = rp.solve_backward(spec, rp.build_mesh(20),
+                              rp.build_time_grid(0.1, 0.01),
+                              record_controls=True).control_table
+    names = ("growth_a", "growth_rate_r", "cost_h", "disutility_f")
+    calls = []
+    # every run fits in one chunk; dt_sim = table dt / 4 gives four steps
+    # per level
+    for n_paths, dt_sim in ((50, 0.01), (500, 0.01), (50, 0.0025)):
+        counters = {name: CallCounter(getattr(spec, name)) for name in names}
+        rp.simulate_paths(replace(spec, **counters), table,
+                          SimConfig(dt_sim=dt_sim, n_paths=n_paths,
+                                    master_seed=7))
+        calls.append({name: c.calls for name, c in counters.items()})
+    assert calls[0] == calls[1] == calls[2]
+    # a and f once per call, h and r once per control level
+    levels = len(table.levels)
+    assert calls[0] == {"growth_a": 1, "disutility_f": 1,
+                        "growth_rate_r": levels, "cost_h": levels}
+
+
+def nan_at_half(fn):
+    def coefficient(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x == 0.5, np.nan, fn(x))
+    return coefficient
+
+
+@pytest.mark.parametrize("name, override, controls", [
+    ("disutility", {"disutility_f": nan_at_half(tent_disutility)}, {}),
+    ("disutility", {"cost_h": nan_at_half(rp.model.tenth_cost)},
+     {"q": np.linspace(0.0, 1.0, 11)}),
+    ("penalty", {}, {"th1": np.where(np.linspace(0.0, 1.0, 11) == 0.5,
+                                     np.nan, 1.0)}),
+    ("drift", {"growth_rate_r": nan_at_half(rp.model.declining_rate)},
+     {"q": np.linspace(0.0, 1.0, 11)}),
+    ("diffusion", {"growth_a": nan_at_half(rp.model.logistic_growth)}, {}),
+])
+def test_non_finite_row_fails_fast(name, override, controls):
+    # a NaN at one node used to reach the path state and surface as a
+    # misleading "interpolation points must lie in [0, 1]"
+    spec = replace(rp.make_paper_spec(False), horizon=0.1, **override)
+    with pytest.raises(ValueError, match=f"{name} row is not finite at node 5"):
+        rp.simulate_paths(spec, constant_table(spec.horizon, **controls),
+                          SimConfig(dt_sim=0.01, n_paths=16))
 
 
 # ---------------------------------------------------------------------------
