@@ -27,10 +27,10 @@ import numpy as np
 from .grid import build_mesh, build_time_grid
 from .jump_ops import N_QUAD
 from .mc import SimConfig, simulate_value
-from .model import (ProblemSpec, declining_rate, logistic_growth, tabulated,
-                    tabulated_density, tent_disutility, tenth_cost,
-                    uniform_density, unit_rate, validate_spec, zero_cost,
-                    zero_rate)
+from .model import (SCALAR_FIELDS, ProblemSpec, declining_rate,
+                    logistic_growth, tabulated, tabulated_density,
+                    tent_disutility, tenth_cost, uniform_density, unit_rate,
+                    validate_spec, zero_cost, zero_rate)
 from .solver import (PolicyConfig, PolicyIterationError, SchemeError,
                      solve_backward, solve_many, switching_points)
 
@@ -59,30 +59,19 @@ NUMBER_LISTS = ("snapshot_times", "sweep.values")
 SWEEPABLE = ("psi0", "psi1", "psi2", "psi", "sigma", "gamma0", "gamma1",
              "nu1", "nu2", "lambda_max", "theta_max", "q_max")
 
-# canonical key order (also the provenance order); the solver, q grid and
-# oracle defaults are the library's
+# canonical key order (also the provenance order); the model, solver, q grid
+# and oracle defaults are the library's
 DEFAULTS: dict[str, object] = {
     "command": "solve",
     "preset": "uncontrolled",
-    "model.sigma": 1.0,
-    "model.gamma0": 0.1,
-    "model.gamma1": 0.1,
-    "model.nu1": 1.0,
-    "model.nu2": 1.0,
-    "model.psi0": 0.5,
-    "model.psi1": 0.5,
-    "model.psi2": 0.5,
-    "model.lambda_max": 100.0,
-    "model.theta_max": 100.0,
-    "model.q_max": 1.0,
-    "model.horizon": 50.0,
+    **{"model." + name: getattr(ProblemSpec, name) for name in SCALAR_FIELDS},
     "model.q_grid_size": ProblemSpec.q_grid_size,
     "model.growth_a": "logistic",
     "model.growth_rate_r": "",     # preset-dependent default
     "model.cost_h": "",            # preset-dependent default
     "model.disutility_f": "tent",
-    "model.jump1": [0.1, 0.9],
-    "model.jump2": [0.1, 0.9],
+    "model.jump1": ProblemSpec.jump_density_1.xs.tolist(),
+    "model.jump2": ProblemSpec.jump_density_2.xs.tolist(),
     "mesh.n_cells": 500,
     "time.dt": 0.005,
     "solver.tol": PolicyConfig.tol,
@@ -217,9 +206,7 @@ def _jump_density(value, name):
 def build_spec(cfg: RunConfig) -> ProblemSpec:
     it = cfg.items
     return ProblemSpec(
-        **{name: float(it["model." + name]) for name in (
-            "sigma", "gamma0", "gamma1", "nu1", "nu2", "psi0", "psi1", "psi2",
-            "lambda_max", "theta_max", "q_max", "horizon")},
+        **{name: float(it["model." + name]) for name in SCALAR_FIELDS},
         **{name: _coefficient(it["model." + name], presets, name)
            for name, presets in COEFFICIENT_PRESETS.items()},
         jump_density_1=_jump_density(it["model.jump1"], "model.jump1"),

@@ -9,12 +9,13 @@ max(theta row) dt) of candidates over all n paths, each assigned to a
 uniformly chosen path (the law of independent per-path counts), accepted with
 probability theta(t, x) / max(theta row), sizes drawn by inverse CDF from
 the jump-density table.
-The running cost is the disutility f(x) + h(q) plus the penalty
--lambda^2/(2 psi0) - sum_i (nu_i/psi_i) (theta_i ln theta_i + 1 - theta_i),
-integrated with the left-endpoint rule. Each simulation step reads the
-control level nearest in time. When the loop reaches a level it builds that
-level's node rows of disutility, penalty, drift and theta (the diffusion row
-sigma a(x) is built once per call), checks them finite, and holds them in
+The running cost, f(x) + h(q) - lambda^2/(2 psi0) - sum_i (nu_i/psi_i)
+(theta_i ln theta_i + 1 - theta_i), is integrated with the left-endpoint
+rule. Each simulation step reads the control level nearest in time. When the
+loop reaches a level it builds that level's node rows of running cost, drift
+and theta with `solver.running_cost` and `solver.controlled_drift`, the
+functions assembly uses (the diffusion row sigma a(x) and the control-free
+drift are built once per call), checks them finite, and holds them in
 slope form (values, np.diff(values)); every step then locates the paths once
 with `Mesh.locate` and interpolates each row linearly, so no spec
 coefficient and no entropy is evaluated on a path. The oracle thus
@@ -40,9 +41,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import step_count
-from .jump_ops import entropy_penalty, post_jump
+# unused here; kept because the benchmark tracer wraps mc.entropy_penalty
+from .jump_ops import entropy_penalty, post_jump  # noqa: F401
 from .model import JumpDensity, ProblemSpec
-from .solver import ControlField, ControlTable
+from .solver import (ControlField, ControlTable, controlled_drift,
+                     migration_drift, running_cost)
 
 JUMP_CDF_NODES = 4097      # knots of the jump-size CDF table a sampler inverts
 # paths simulated together: a cache block, not a setting. One unchunked
@@ -87,11 +90,9 @@ class ValueEstimate:
 
 @dataclass
 class PathBatch:
-    """Per-path outcomes; total = disutility + penalty."""
+    """Per-path outcomes; total is the integrated running cost."""
 
     total: np.ndarray
-    disutility: np.ndarray
-    penalty: np.ndarray
     jumps_down: np.ndarray
     jumps_up: np.ndarray
     thin_candidates: np.ndarray     # jump candidates proposed, both kinds
@@ -146,25 +147,21 @@ def _lerp(row: tuple[np.ndarray, np.ndarray], idx: np.ndarray,
     return values[idx] + slopes[idx] * w
 
 
-def _level_rows(spec: ProblemSpec, nodes: np.ndarray, a: np.ndarray,
-                f: np.ndarray, level: ControlField):
-    """Disutility, penalty, drift, theta1 and theta2 rows of one level.
+def _level_rows(spec: ProblemSpec, a: np.ndarray, f: np.ndarray,
+                base_drift: np.ndarray, level: ControlField):
+    """Running-cost, drift, theta1 and theta2 rows of one level.
 
-    `a` and `f` are the growth and disutility rows on `nodes`; the spec's
+    `a`, `f` and `base_drift` are node rows built once per call; the spec's
     q-dependent coefficients and the entropies are evaluated here, once per
     control level, and never on a path.
     """
-    q, lam = level.q_star, level.lambda_star
+    q = level.q_star
     return (
-        _row("disutility", f + np.asarray(spec.cost_h(q), dtype=float)),
-        _row("penalty", -(lam ** 2 / (2.0 * spec.psi0)
-                          + (spec.nu1 / spec.psi1)
-                          * entropy_penalty(level.theta1_star)
-                          + (spec.nu2 / spec.psi2)
-                          * entropy_penalty(level.theta2_star))),
-        _row("drift", a * np.asarray(spec.growth_rate_r(q), dtype=float)
-             + spec.sigma * lam * a
-             + spec.gamma1 - (spec.gamma0 + spec.gamma1) * nodes),
+        _row("running cost", running_cost(
+            spec, f, np.asarray(spec.cost_h(q), dtype=float), level)),
+        _row("drift", controlled_drift(
+            spec, base_drift, a, np.asarray(spec.growth_rate_r(q), dtype=float),
+            level.lambda_star)),
         _row("theta1", level.theta1_star),
         _row("theta2", level.theta2_star),
     )
@@ -219,6 +216,7 @@ def simulate_paths(spec: ProblemSpec, controls: ControlTable,
     nodes = mesh.nodes
     a_nodes = np.asarray(spec.growth_a(nodes), dtype=float)
     f_nodes = np.asarray(spec.disutility_f(nodes), dtype=float)
+    base_drift = migration_drift(spec, nodes)
     diffusion = _row("diffusion", spec.sigma * a_nodes)
 
     n_chunks = (cfg.n_paths + CHUNK_PATHS - 1) // CHUNK_PATHS
@@ -228,8 +226,7 @@ def simulate_paths(spec: ProblemSpec, controls: ControlTable,
         n = min(CHUNK_PATHS, cfg.n_paths - c * CHUNK_PATHS)
         rng = np.random.default_rng(seeds[c])
         x = np.full(n, float(cfg.start_x))
-        acc_dis = np.zeros(n)
-        acc_pen = np.zeros(n)
+        acc_cost = np.zeros(n)
         jumps_down = np.zeros(n, dtype=np.int64)
         jumps_up = np.zeros(n, dtype=np.int64)
         candidates = np.zeros(n, dtype=np.int64)
@@ -241,11 +238,10 @@ def simulate_paths(spec: ProblemSpec, controls: ControlTable,
             # ergodic exit share one object, so their rows are built once
             if controls.levels[slice_of_step[k]] is not level:
                 level = controls.levels[slice_of_step[k]]
-                dis_row, pen_row, drift_row, th1_row, th2_row = _level_rows(
-                    spec, nodes, a_nodes, f_nodes, level)
+                cost_row, drift_row, th1_row, th2_row = _level_rows(
+                    spec, a_nodes, f_nodes, base_drift, level)
             idx, w = mesh.locate(x)
-            acc_dis += _lerp(dis_row, idx, w)
-            acc_pen += _lerp(pen_row, idx, w)
+            acc_cost += _lerp(cost_row, idx, w)
             noise = rng.standard_normal(n)
             x = np.clip(x + _lerp(drift_row, idx, w) * dt
                         + _lerp(diffusion, idx, w) * sqrt_dt * noise,
@@ -258,10 +254,7 @@ def simulate_paths(spec: ProblemSpec, controls: ControlTable,
             np.minimum(x_min, x, out=x_min)
             np.maximum(x_max, x, out=x_max)
 
-        disutility = acc_dis * dt
-        penalty = acc_pen * dt
-        parts.append(PathBatch(total=disutility + penalty, disutility=disutility,
-                               penalty=penalty, jumps_down=jumps_down,
+        parts.append(PathBatch(total=acc_cost * dt, jumps_down=jumps_down,
                                jumps_up=jumps_up, thin_candidates=candidates,
                                x_min=x_min, x_max=x_max))
 

@@ -5,6 +5,8 @@ the noise magnitudes, migration intensities, jump intensities and densities,
 ambiguity-aversion weights, control bounds, the horizon, and the coefficient
 functions (density-dependent growth, controlled growth rate, control cost,
 disutility). Specs are immutable and safe to share across concurrent solves.
+The field defaults are the paper's uncontrolled benchmark, and
+`make_paper_spec` states its controlled variant.
 
 A jump-size density is one type, a piecewise-linear table of mass one on a
 support strictly inside (0, 1); uniform densities are its two-knot case.
@@ -14,7 +16,7 @@ Validation checks such a table exactly at its knots, without sampling it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -128,42 +130,44 @@ def density_mass(density: JumpDensity) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
-    sigma: float            # continuous-noise magnitude
-    gamma0: float           # decay / outward-migration intensity
-    gamma1: float           # immigration intensity
-    nu1: float              # downward-jump intensity
-    nu2: float              # upward-jump intensity
-    psi0: float             # ambiguity aversion, continuous noise
-    psi1: float             # ambiguity aversion, downward jumps
-    psi2: float             # ambiguity aversion, upward jumps
-    lambda_max: float       # drift-distortion bound
-    theta_max: float        # intensity-distortion bound
-    q_max: float            # intervention bound
-    horizon: float          # terminal time
-    growth_a: Coefficient       # density-dependent growth, zero at 0 and 1
-    growth_rate_r: Coefficient  # controlled growth rate on [0, q_max]
-    cost_h: Coefficient         # unit-time intervention cost on [0, q_max]
-    disutility_f: Coefficient   # nonnegative running disutility on [0, 1]
-    jump_density_1: JumpDensity
-    jump_density_2: JumpDensity
+    """One control problem; the defaults are the uncontrolled benchmark."""
+
+    sigma: float = 1.0          # continuous-noise magnitude
+    gamma0: float = 0.1         # decay / outward-migration intensity
+    gamma1: float = 0.1         # immigration intensity
+    nu1: float = 1.0            # downward-jump intensity
+    nu2: float = 1.0            # upward-jump intensity
+    psi0: float = 0.5           # ambiguity aversion, continuous noise
+    psi1: float = 0.5           # ambiguity aversion, downward jumps
+    psi2: float = 0.5           # ambiguity aversion, upward jumps
+    lambda_max: float = 100.0   # drift-distortion bound
+    theta_max: float = 100.0    # intensity-distortion bound
+    q_max: float = 1.0          # intervention bound
+    horizon: float = 50.0       # terminal time
+    # density-dependent growth, zero at 0 and 1
+    growth_a: Coefficient = logistic_growth
+    growth_rate_r: Coefficient = unit_rate  # controlled growth rate, [0, q_max]
+    cost_h: Coefficient = zero_cost         # intervention cost, [0, q_max]
+    disutility_f: Coefficient = tent_disutility  # running disutility >= 0
+    jump_density_1: JumpDensity = uniform_density(0.1, 0.9)
+    jump_density_2: JumpDensity = uniform_density(0.1, 0.9)
     q_grid_size: int = 2    # candidate interventions for the discrete argmax
 
     def q_grid(self) -> np.ndarray:
         return np.linspace(0.0, self.q_max, self.q_grid_size)
 
 
-def make_paper_spec(with_control: bool = False) -> ProblemSpec:
-    """Benchmark configuration used throughout the numerical experiments.
+# the scalar fields, in declaration order: the ones with a float default
+SCALAR_FIELDS = tuple(f.name for f in fields(ProblemSpec)
+                      if isinstance(f.default, float))
 
-    The CLI's `controlled` or `uncontrolled` preset with every other key at
-    its default, so `robpop.cli.DEFAULTS` is the one statement of its values.
-    With `with_control` the intervention enters through the `one_minus_q`
-    rate at the `tenth_q` cost; otherwise the rate is constant and the cost
-    zero, so the no-intervention policy is always selected.
-    """
-    from .cli import build_spec, resolve_config   # cli imports this module
-    return build_spec(resolve_config(
-        {"preset": "controlled" if with_control else "uncontrolled"}))
+
+def make_paper_spec(with_control: bool = False) -> ProblemSpec:
+    """The benchmark `ProblemSpec()`, where intervention never pays, or with
+    `with_control` its variant with the rate 1 - q at the cost 0.1 q."""
+    if not with_control:
+        return ProblemSpec()
+    return ProblemSpec(growth_rate_r=declining_rate, cost_h=tenth_cost)
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +175,7 @@ def make_paper_spec(with_control: bool = False) -> ProblemSpec:
 # ---------------------------------------------------------------------------
 
 _BOUNDARY_TOL = 1e-12
-_NONNEGATIVE = ("sigma", "gamma0", "gamma1", "nu1", "nu2")
-_POSITIVE = ("psi0", "psi1", "psi2", "lambda_max", "theta_max", "q_max",
-             "horizon")
+_MAY_BE_ZERO = ("sigma", "gamma0", "gamma1", "nu1", "nu2")
 _N_SAMPLES = 201
 
 
@@ -205,13 +207,12 @@ def _sample_points(fn: Coefficient, lo: float, hi: float) -> np.ndarray:
 def validate_spec(spec: ProblemSpec) -> list[str]:
     """Check well-posedness; returns every violation found, raises none."""
     v: list[str] = []
-    for name in _NONNEGATIVE:
-        if getattr(spec, name) < 0.0:
+    for name in SCALAR_FIELDS:
+        if name in _MAY_BE_ZERO and getattr(spec, name) < 0.0:
             v.append(f"{name} must be >= 0")
-    for name in _POSITIVE:
-        if getattr(spec, name) <= 0.0:
+        elif name not in _MAY_BE_ZERO and getattr(spec, name) <= 0.0:
             v.append(f"{name} must be > 0")
-    v += [f"{name} must be finite" for name in _NONNEGATIVE + _POSITIVE
+    v += [f"{name} must be finite" for name in SCALAR_FIELDS
           if not math.isfinite(getattr(spec, name))]
     if not isinstance(spec.q_grid_size, (int, np.integer)) or spec.q_grid_size < 2:
         v.append("q_grid_size must be an integer >= 2")
@@ -236,6 +237,10 @@ def validate_spec(spec: ProblemSpec) -> list[str]:
         h_vals = np.asarray(spec.cost_h(qs), dtype=float)
         if not np.all((h_vals >= 0.0) & np.isfinite(h_vals)):
             v.append("control cost must be finite and nonnegative on [0, q_max]")
+        qs = _sample_points(spec.growth_rate_r, 0.0, spec.q_max)
+        if not np.all(np.isfinite(np.asarray(spec.growth_rate_r(qs),
+                                             dtype=float))):
+            v.append("controlled growth rate must be finite on [0, q_max]")
 
     _check_density("jump_density_1", spec.jump_density_1, v)
     _check_density("jump_density_2", spec.jump_density_2, v)

@@ -3,10 +3,11 @@
 One backward step solves, by policy iteration, the discrete equation
 
     phi/dt - D phi_xx - b(controls) phi_x + (nu1 th1 + nu2 th2) phi
-        = phi_next/dt + source(controls) + nu1 th1 (W1 phi_lag) + nu2 th2 (W2 phi_lag)
+        = phi_next/dt + c(controls) + nu1 th1 (W1 phi_lag) + nu2 th2 (W2 phi_lag)
 
 where D = sigma^2 a^2 / 2, b = gamma1 - (gamma0+gamma1)x + (r(q) + sigma
-lambda) a, and W1, W2 are the jump-expectation quadratures. The drift is
+lambda) a (`controlled_drift`), c is the running cost (`running_cost`), and
+W1, W2 are the jump-expectation quadratures. The drift is
 discretized centrally wherever 2D/dx >= |b| and upwind along b otherwise, so
 every assembled row is an M-matrix row. The nodes x = 0 and x = 1 take the
 upwind row like any other node and no boundary condition is imposed: a
@@ -146,11 +147,33 @@ class SchemeOperators:
     first_drift: np.ndarray     # uncontrolled drift (q = 0, lambda = 0)
 
 
+def migration_drift(spec: ProblemSpec, x: np.ndarray) -> np.ndarray:
+    """The control-free part of the drift, gamma1 - (gamma0 + gamma1) x."""
+    return spec.gamma1 - (spec.gamma0 + spec.gamma1) * x
+
+
+def controlled_drift(spec: ProblemSpec, base_drift: np.ndarray,
+                     a: np.ndarray, r_of_q: np.ndarray,
+                     lam: np.ndarray) -> np.ndarray:
+    """The drift b = base + (r(q) + sigma lambda) a at the nodes."""
+    return base_drift + (r_of_q + spec.sigma * lam) * a
+
+
+def running_cost(spec: ProblemSpec, f: np.ndarray, h_of_q: np.ndarray,
+                 controls: ControlField) -> np.ndarray:
+    """The running cost at the nodes: f + h(q) - lambda^2/(2 psi0)
+    - sum_i (nu_i/psi_i) (theta_i ln theta_i + 1 - theta_i)."""
+    return (f + h_of_q
+            - controls.lambda_star ** 2 / (2.0 * spec.psi0)
+            - (spec.nu1 / spec.psi1) * entropy_penalty(controls.theta1_star)
+            - (spec.nu2 / spec.psi2) * entropy_penalty(controls.theta2_star))
+
+
 def build_scheme(spec: ProblemSpec, mesh: Mesh,
                  n_quad: int = N_QUAD) -> SchemeOperators:
     x = mesh.nodes
     a_vals = np.asarray(spec.growth_a(x), dtype=float)
-    base_drift = spec.gamma1 - (spec.gamma0 + spec.gamma1) * x
+    base_drift = migration_drift(spec, x)
     r0 = float(np.asarray(spec.growth_rate_r(0.0), dtype=float))
     return SchemeOperators(
         spec=spec,
@@ -162,13 +185,8 @@ def build_scheme(spec: ProblemSpec, mesh: Mesh,
         base_drift=base_drift,
         diffusion=0.5 * spec.sigma ** 2 * a_vals ** 2,
         q_table=q_candidates(spec),
-        first_drift=base_drift + r0 * a_vals,
+        first_drift=controlled_drift(spec, base_drift, a_vals, r0, 0.0),
     )
-
-
-def controlled_drift(ops: SchemeOperators, r_of_q: np.ndarray,
-                     lam: np.ndarray) -> np.ndarray:
-    return ops.base_drift + (r_of_q + ops.spec.sigma * lam) * ops.a_vals
 
 
 def _central_mask(ops: SchemeOperators, drift: np.ndarray) -> np.ndarray:
@@ -208,7 +226,6 @@ def assemble_system(ops: SchemeOperators, dt: float, controls: ControlField,
     dx = ops.mesh.dx
     th1 = controls.theta1_star
     th2 = controls.theta2_star
-    lam = controls.lambda_star
 
     central = _central_mask(ops, drift)
     Dxx = ops.diffusion / dx ** 2
@@ -230,11 +247,8 @@ def assemble_system(ops: SchemeOperators, dt: float, controls: ControlField,
         raise SchemeError("assembled system lost diagonal dominance")
 
     w1, w2 = expectations
-    source = (ops.f_vals + h_of_q
-              - lam ** 2 / (2.0 * spec.psi0)
-              - (spec.nu1 / spec.psi1) * entropy_penalty(th1)
-              - (spec.nu2 / spec.psi2) * entropy_penalty(th2))
-    rhs = phi_next / dt + source + spec.nu1 * th1 * w1 + spec.nu2 * th2 * w2
+    rhs = (phi_next / dt + running_cost(spec, ops.f_vals, h_of_q, controls)
+           + spec.nu1 * th1 * w1 + spec.nu2 * th2 * w2)
     return TridiagonalSystem(lower=row_low[1:], diag=diag, upper=row_up[:-1],
                              rhs=rhs)
 
@@ -283,8 +297,8 @@ def _extract_controls(ops: SchemeOperators, phi: np.ndarray,
                                     spec.theta_max)
     controls = ControlField(q_star=q, lambda_star=lam, theta1_star=th1,
                             theta2_star=th2)
-    return (controls, controlled_drift(ops, r_q, lam), h_q,
-            (phi - delta1, phi - delta2))
+    drift = controlled_drift(spec, ops.base_drift, ops.a_vals, r_q, lam)
+    return controls, drift, h_q, (phi - delta1, phi - delta2)
 
 
 def step_backward(ops: SchemeOperators, dt: float, phi_next: np.ndarray,

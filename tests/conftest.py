@@ -54,7 +54,8 @@ def reference_handoff(ops, controls, phi):
     the spec's coefficients and the quadrature matrices: the drift, h(q*)
     and the jump expectations (W1 phi, W2 phi)."""
     spec = ops.spec
-    drift = controlled_drift(ops, spec.growth_rate_r(controls.q_star),
+    drift = controlled_drift(spec, ops.base_drift, ops.a_vals,
+                             spec.growth_rate_r(controls.q_star),
                              controls.lambda_star)
     return (drift, spec.cost_h(controls.q_star),
             (ops.quad_down.weights @ phi, ops.quad_up.weights @ phi))

@@ -11,11 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from robpop.cli import (ConfigError, DEFAULTS, build_spec, execute, main,
-                        parse_config_text, resolve_config)
+from robpop.cli import (COEFFICIENT_PRESETS, ConfigError, DEFAULTS,
+                        build_spec, execute, main, parse_config_text,
+                        resolve_config)
 from robpop.jump_ops import build_jump_quadrature
 from robpop.mc import SimConfig
-from robpop.model import JumpDensity, ProblemSpec, make_paper_spec, validate_spec
+from robpop.model import (SCALAR_FIELDS, JumpDensity, ProblemSpec,
+                          make_paper_spec, validate_spec)
 from robpop.solver import (PolicyConfig, build_scheme, solve_backward,
                            solve_many)
 
@@ -100,19 +102,49 @@ def test_defaults_mirror_benchmark_resolution():
 
 
 def test_solver_and_oracle_defaults_are_the_library_defaults():
-    policy, sim = PolicyConfig(), SimConfig()
-    spec_defaults = {f.name: f.default for f in dataclasses.fields(ProblemSpec)}
+    policy, sim, spec = PolicyConfig(), SimConfig(), ProblemSpec()
     n_quads = {inspect.signature(fn).parameters["n_quad"].default
                for fn in (build_jump_quadrature, build_scheme, solve_backward,
                           solve_many)}
     assert len(n_quads) == 1
     library = {"solver.tol": policy.tol, "solver.max_iter": policy.max_iter,
                "solver.n_quad": n_quads.pop(),
-               "model.q_grid_size": spec_defaults["q_grid_size"],
                "mc.dt_sim": sim.dt_sim, "mc.n_paths": sim.n_paths,
                "mc.seed": sim.master_seed, "mc.start_x": sim.start_x}
+    library.update({"model." + name: getattr(spec, name)
+                    for name in SCALAR_FIELDS + ("q_grid_size",)})
     for key, value in library.items():
         assert (DEFAULTS[key], type(DEFAULTS[key])) == (value, type(value)), key
+    # the coefficients the default preset names and the jump knots are the
+    # spec's defaults too
+    resolved = resolve_config({})
+    for name, presets in COEFFICIENT_PRESETS.items():
+        assert presets[resolved["model." + name]] is getattr(spec, name), name
+    for key, density in (("model.jump1", spec.jump_density_1),
+                         ("model.jump2", spec.jump_density_2)):
+        assert DEFAULTS[key] == density.xs.tolist(), key
+        assert all(type(v) is float for v in DEFAULTS[key]), key
+    # every model.* key is covered above
+    assert {k for k in DEFAULTS if k.startswith("model.")} == (
+        {k for k in library if k.startswith("model.")}
+        | {"model." + name for name in COEFFICIENT_PRESETS}
+        | {"model.jump1", "model.jump2"})
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # perfbench/layers.py wraps library names by string; a name the library
+    # drops makes a traced benchmark run report it absent and lose its
+    # metrics while still exiting 0
+    module_spec = importlib.util.spec_from_file_location(
+        "layers", ROOT / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(layers)
+    tracer = layers.Tracer(kernels=True)
+    tracer.install()
+    try:
+        assert tracer.missing == []
+    finally:
+        tracer.uninstall()
 
 
 def test_build_spec_from_tables():

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import robpop as rp
 from robpop.jump_ops import entropy_penalty
 from robpop.mc import SimConfig, make_jump_sampler
 from robpop.model import (tabulated, tabulated_density, tent_disutility,
                           uniform_density)
-from robpop.solver import ControlField, ControlTable
+from robpop.solver import (ControlField, ControlTable, migration_drift,
+                           running_cost)
 
 ZERO_FN = tabulated([[0.0, 0.0], [1.0, 0.0]])
 ONE_FN = tabulated([[0.0, 1.0], [1.0, 1.0]])
@@ -139,13 +142,22 @@ def test_thinning_at_the_row_bound_with_theta_varying_in_x():
             <= 4.0 * np.sqrt(candidates))
 
 
-def test_penalty_part_never_positive():
-    spec = replace(rp.make_paper_spec(False), horizon=0.5)
-    cfg = SimConfig(dt_sim=0.002, n_paths=500, master_seed=23)
-    batch = rp.simulate_paths(
-        spec, constant_table(spec.horizon, lam=0.4, th1=0.6, th2=1.7), cfg)
-    assert batch.penalty.max() <= 0.0
-    assert np.all(batch.total <= batch.disutility)
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.floats(-100.0, 100.0),
+                          st.floats(0.0, 100.0), st.floats(0.0, 100.0)),
+                min_size=1, max_size=20),
+       st.floats(0.0, 10.0))
+def test_penalty_part_never_positive(controls, h):
+    # the distortion penalty -lambda^2/(2 psi0) - sum (nu/psi)(theta ln theta
+    # + 1 - theta) is never positive, so the running cost never exceeds f + h
+    spec = rp.make_paper_spec(True)
+    lam, th1, th2 = (np.asarray(c, dtype=float) for c in zip(*controls))
+    f = np.linspace(0.0, 1.0, lam.size)
+    cost = running_cost(spec, f, np.full(lam.size, h),
+                        ControlField(q_star=np.zeros(lam.size),
+                                     lambda_star=lam, theta1_star=th1,
+                                     theta2_star=th2))
+    assert np.all(cost <= f + h)
 
 
 def test_estimate_agrees_with_solver_at_desk_scale():
@@ -186,10 +198,11 @@ def test_node_rows_match_the_per_path_composition(with_control):
     assert (np.abs(rp.mc._lerp(diffusion, idx, w) - spec.sigma * a_xs).max()
             <= spec.sigma * mesh.dx ** 2 / 4.0 + 1e-12)
 
+    base_drift = migration_drift(spec, nodes)
     cost_gap = drift_gap = 0.0
     for level in {id(lv): lv for lv in table.levels}.values():
-        dis, pen, drift, _, _ = rp.mc._level_rows(
-            spec, nodes, a_nodes, spec.disutility_f(nodes), level)
+        cost_row, drift_row, _, _ = rp.mc._level_rows(
+            spec, a_nodes, spec.disutility_f(nodes), base_drift, level)
         q, lam, th1, th2 = (np.interp(xs, nodes, row) for row in (
             level.q_star, level.lambda_star, level.theta1_star,
             level.theta2_star))
@@ -199,11 +212,10 @@ def test_node_rows_match_the_per_path_composition(with_control):
                 - (spec.nu2 / spec.psi2) * entropy_penalty(th2))
         plain_drift = (a_xs * spec.growth_rate_r(q) + spec.sigma * lam * a_xs
                        + spec.gamma1 - (spec.gamma0 + spec.gamma1) * xs)
-        cost_gap = max(cost_gap, np.abs(rp.mc._lerp(dis, idx, w)
-                                        + rp.mc._lerp(pen, idx, w)
-                                        - cost).max())
-        drift_gap = max(drift_gap,
-                        np.abs(rp.mc._lerp(drift, idx, w) - plain_drift).max())
+        cost_gap = max(cost_gap,
+                       np.abs(rp.mc._lerp(cost_row, idx, w) - cost).max())
+        drift_gap = max(drift_gap, np.abs(rp.mc._lerp(drift_row, idx, w)
+                                          - plain_drift).max())
     assert cost_gap <= 5e-5
     assert drift_gap <= 2e-3
 
@@ -248,15 +260,15 @@ def nan_at_half(fn):
 
 
 @pytest.mark.parametrize("name, override, controls", [
-    ("disutility", {"disutility_f": nan_at_half(tent_disutility)}, {}),
-    ("disutility", {"cost_h": nan_at_half(rp.model.tenth_cost)},
+    ("running cost", {"disutility_f": nan_at_half(tent_disutility)}, {}),
+    ("running cost", {"cost_h": nan_at_half(rp.model.tenth_cost)},
      {"q": np.linspace(0.0, 1.0, 11)}),
-    ("penalty", {}, {"th1": np.where(np.linspace(0.0, 1.0, 11) == 0.5,
-                                     np.nan, 1.0)}),
+    ("running cost", {}, {"th1": np.where(np.linspace(0.0, 1.0, 11) == 0.5,
+                                          np.nan, 1.0)}),
     ("drift", {"growth_rate_r": nan_at_half(rp.model.declining_rate)},
      {"q": np.linspace(0.0, 1.0, 11)}),
     ("diffusion", {"growth_a": nan_at_half(rp.model.logistic_growth)}, {}),
-])
+], ids=lambda v: v.replace(" ", "_") if isinstance(v, str) else None)
 def test_non_finite_row_fails_fast(name, override, controls):
     # a NaN at one node used to reach the path state and surface as a
     # misleading "interpolation points must lie in [0, 1]"

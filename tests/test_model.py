@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robpop.grid import build_mesh, build_time_grid
 from robpop.model import (JumpDensity, density_mass, make_paper_spec,
                           tabulated, tabulated_density, uniform_density,
                           validate_spec)
+from robpop.solver import solve_backward
 from dataclasses import replace
 
 
@@ -131,6 +133,22 @@ def test_validation_checks_coefficient_tables_at_their_knots(field, points,
     violations = validate_spec(replace(make_paper_spec(True),
                                        **{field: tabulated(points)}))
     assert any(named in v for v in violations)
+
+
+def test_validation_flags_nonfinite_growth_rate():
+    # unchecked, a rate that is NaN at q = 0 reaches assembly and surfaces
+    # as "positive off-diagonal entry", naming neither the rate nor NaN
+    def nan_at_zero(q):
+        q = np.asarray(q, dtype=float)
+        return np.where(q == 0.0, np.nan, 1.0 - q)
+
+    bad = replace(make_paper_spec(True), growth_rate_r=nan_at_zero,
+                  horizon=0.1)
+    assert validate_spec(bad) == [
+        "controlled growth rate must be finite on [0, q_max]"]
+    with pytest.raises(ValueError, match="invalid problem spec") as err:
+        solve_backward(bad, build_mesh(20), build_time_grid(0.1, 0.01))
+    assert "controlled growth rate must be finite" in str(err.value)
 
 
 def test_tabulated_sorts_samples():
