@@ -12,16 +12,15 @@ the jump-density table.
 The running cost, f(x) + h(q) - lambda^2/(2 psi0) - sum_i (nu_i/psi_i)
 (theta_i ln theta_i + 1 - theta_i), is integrated with the left-endpoint
 rule. Each simulation step reads the control level nearest in time. When the
-loop reaches a level it builds that level's node rows of running cost, drift
-and theta with `solver.running_cost` and `solver.controlled_drift`, the
-functions assembly uses (the diffusion row sigma a(x) and the control-free
-drift are built once per call), checks them finite, and holds them in
-slope form (values, np.diff(values)); every step then locates the paths once
-with `Mesh.locate` and interpolates each row linearly, so no spec
-coefficient and no entropy is evaluated on a path. The oracle thus
-interpolates the composed rows, not the controls: a kink of a coefficient
-between nodes, such as the bang-bang switch of q*, is smeared across one
-cell.
+loop reaches a level it reads the node rows of running cost, drift and theta
+that the solve stored with that level's controls (the rows assembly used),
+checks them finite, and holds them in slope form (values, np.diff(values));
+the diffusion row sigma a(x) is built once per call, from the only spec
+coefficient the oracle evaluates. Every step then locates the paths once
+with `Mesh.locate` and interpolates each row linearly, so no coefficient
+and no entropy is evaluated on a path. The oracle thus interpolates the
+composed rows, not the controls: a kink of a coefficient between nodes,
+such as the bang-bang switch of q*, is smeared across one cell.
 
 Paths are processed in chunks of the constant CHUNK_PATHS, each driven by
 its own deterministic substream spawned from the master seed, so identical
@@ -44,8 +43,7 @@ from .grid import step_count
 # unused here; kept because the benchmark tracer wraps mc.entropy_penalty
 from .jump_ops import entropy_penalty, post_jump  # noqa: F401
 from .model import JumpDensity, ProblemSpec
-from .solver import (ControlField, ControlTable, controlled_drift,
-                     migration_drift, running_cost)
+from .solver import ControlField, ControlTable
 
 JUMP_CDF_NODES = 4097      # knots of the jump-size CDF table a sampler inverts
 # paths simulated together: a cache block, not a setting. One unchunked
@@ -68,6 +66,9 @@ class SimConfig:
             raise ValueError("dt_sim and n_paths must be positive")
         if not 0.0 <= self.start_x <= 1.0:
             raise ValueError("start_x must lie in [0, 1]")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be a nonnegative integer, "
+                             f"got {self.master_seed}")
 
     def n_steps(self, horizon: float, table_dt: float) -> int:
         """Simulation steps from start_t to the horizon, at least one; each
@@ -147,24 +148,11 @@ def _lerp(row: tuple[np.ndarray, np.ndarray], idx: np.ndarray,
     return values[idx] + slopes[idx] * w
 
 
-def _level_rows(spec: ProblemSpec, a: np.ndarray, f: np.ndarray,
-                base_drift: np.ndarray, level: ControlField):
-    """Running-cost, drift, theta1 and theta2 rows of one level.
-
-    `a`, `f` and `base_drift` are node rows built once per call; the spec's
-    q-dependent coefficients and the entropies are evaluated here, once per
-    control level, and never on a path.
-    """
-    q = level.q_star
-    return (
-        _row("running cost", running_cost(
-            spec, f, np.asarray(spec.cost_h(q), dtype=float), level)),
-        _row("drift", controlled_drift(
-            spec, base_drift, a, np.asarray(spec.growth_rate_r(q), dtype=float),
-            level.lambda_star)),
-        _row("theta1", level.theta1_star),
-        _row("theta2", level.theta2_star),
-    )
+def _level_rows(level: ControlField):
+    """Running-cost, drift, theta1 and theta2 rows of one level, as the
+    solve stored them."""
+    return (_row("running cost", level.cost), _row("drift", level.drift),
+            _row("theta1", level.theta1_star), _row("theta2", level.theta2_star))
 
 
 def _thin_jumps(rng, x, nu_dt, mesh, theta_row, sampler, kind, jumps,
@@ -213,11 +201,8 @@ def simulate_paths(spec: ProblemSpec, controls: ControlTable,
     sampler_down = make_jump_sampler(spec.jump_density_1)
     sampler_up = make_jump_sampler(spec.jump_density_2)
     mesh = controls.mesh
-    nodes = mesh.nodes
-    a_nodes = np.asarray(spec.growth_a(nodes), dtype=float)
-    f_nodes = np.asarray(spec.disutility_f(nodes), dtype=float)
-    base_drift = migration_drift(spec, nodes)
-    diffusion = _row("diffusion", spec.sigma * a_nodes)
+    diffusion = _row("diffusion", spec.sigma * np.asarray(
+        spec.growth_a(mesh.nodes), dtype=float))
 
     n_chunks = (cfg.n_paths + CHUNK_PATHS - 1) // CHUNK_PATHS
     seeds = np.random.SeedSequence(cfg.master_seed).spawn(n_chunks)
@@ -238,8 +223,7 @@ def simulate_paths(spec: ProblemSpec, controls: ControlTable,
             # ergodic exit share one object, so their rows are built once
             if controls.levels[slice_of_step[k]] is not level:
                 level = controls.levels[slice_of_step[k]]
-                cost_row, drift_row, th1_row, th2_row = _level_rows(
-                    spec, a_nodes, f_nodes, base_drift, level)
+                cost_row, drift_row, th1_row, th2_row = _level_rows(level)
             idx, w = mesh.locate(x)
             acc_cost += _lerp(cost_row, idx, w)
             noise = rng.standard_normal(n)

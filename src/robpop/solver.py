@@ -7,7 +7,10 @@ One backward step solves, by policy iteration, the discrete equation
 
 where D = sigma^2 a^2 / 2, b = gamma1 - (gamma0+gamma1)x + (r(q) + sigma
 lambda) a (`controlled_drift`), c is the running cost (`running_cost`), and
-W1, W2 are the jump-expectation quadratures. The drift is
+W1, W2 are the jump-expectation quadratures. Control extraction builds the
+rows b and c once per iterate and the `ControlField` carries them to
+assembly, to the next iterate's slope stencil and, through a recorded
+`ControlTable`, to the Monte Carlo oracle. The drift is
 discretized centrally wherever 2D/dx >= |b| and upwind along b otherwise, so
 every assembled row is an M-matrix row. The nodes x = 0 and x = 1 take the
 upwind row like any other node and no boundary condition is imposed: a
@@ -66,10 +69,15 @@ class PolicyIterationError(RuntimeError):
 
 @dataclass
 class ControlField:
+    """Optimal controls at the nodes and the node rows they give: the drift
+    b (`controlled_drift`) and the running cost c (`running_cost`)."""
+
     q_star: np.ndarray
     lambda_star: np.ndarray
     theta1_star: np.ndarray
     theta2_star: np.ndarray
+    drift: np.ndarray
+    cost: np.ndarray
 
 
 @dataclass
@@ -147,11 +155,6 @@ class SchemeOperators:
     first_drift: np.ndarray     # uncontrolled drift (q = 0, lambda = 0)
 
 
-def migration_drift(spec: ProblemSpec, x: np.ndarray) -> np.ndarray:
-    """The control-free part of the drift, gamma1 - (gamma0 + gamma1) x."""
-    return spec.gamma1 - (spec.gamma0 + spec.gamma1) * x
-
-
 def controlled_drift(spec: ProblemSpec, base_drift: np.ndarray,
                      a: np.ndarray, r_of_q: np.ndarray,
                      lam: np.ndarray) -> np.ndarray:
@@ -160,20 +163,21 @@ def controlled_drift(spec: ProblemSpec, base_drift: np.ndarray,
 
 
 def running_cost(spec: ProblemSpec, f: np.ndarray, h_of_q: np.ndarray,
-                 controls: ControlField) -> np.ndarray:
+                 lam: np.ndarray, th1: np.ndarray,
+                 th2: np.ndarray) -> np.ndarray:
     """The running cost at the nodes: f + h(q) - lambda^2/(2 psi0)
     - sum_i (nu_i/psi_i) (theta_i ln theta_i + 1 - theta_i)."""
     return (f + h_of_q
-            - controls.lambda_star ** 2 / (2.0 * spec.psi0)
-            - (spec.nu1 / spec.psi1) * entropy_penalty(controls.theta1_star)
-            - (spec.nu2 / spec.psi2) * entropy_penalty(controls.theta2_star))
+            - lam ** 2 / (2.0 * spec.psi0)
+            - (spec.nu1 / spec.psi1) * entropy_penalty(th1)
+            - (spec.nu2 / spec.psi2) * entropy_penalty(th2))
 
 
 def build_scheme(spec: ProblemSpec, mesh: Mesh,
                  n_quad: int = N_QUAD) -> SchemeOperators:
     x = mesh.nodes
     a_vals = np.asarray(spec.growth_a(x), dtype=float)
-    base_drift = migration_drift(spec, x)
+    base_drift = spec.gamma1 - (spec.gamma0 + spec.gamma1) * x
     r0 = float(np.asarray(spec.growth_rate_r(0.0), dtype=float))
     return SchemeOperators(
         spec=spec,
@@ -213,17 +217,19 @@ def _gradient(ops: SchemeOperators, phi: np.ndarray,
 
 
 def assemble_system(ops: SchemeOperators, dt: float, controls: ControlField,
-                    phi_next: np.ndarray, drift: np.ndarray, h_of_q: np.ndarray,
+                    phi_next: np.ndarray,
                     expectations: tuple[np.ndarray, np.ndarray]
                     ) -> TridiagonalSystem:
     """One implicit backward-Euler system at fixed controls.
 
-    Takes the drift b, the cost h(q*) and the jump expectations (W1 phi,
-    W2 phi) that control extraction computed at the lagged iterate phi, so
-    it evaluates no spec coefficient and no quadrature. Checks every row.
+    Reads the drift and running-cost rows the controls carry and takes the
+    jump expectations (W1 phi, W2 phi) that control extraction computed at
+    the lagged iterate phi, so it evaluates no spec coefficient and no
+    quadrature. Checks every row.
     """
     spec = ops.spec
     dx = ops.mesh.dx
+    drift = controls.drift
     th1 = controls.theta1_star
     th2 = controls.theta2_star
 
@@ -247,7 +253,7 @@ def assemble_system(ops: SchemeOperators, dt: float, controls: ControlField,
         raise SchemeError("assembled system lost diagonal dominance")
 
     w1, w2 = expectations
-    rhs = (phi_next / dt + running_cost(spec, ops.f_vals, h_of_q, controls)
+    rhs = (phi_next / dt + controls.cost
            + spec.nu1 * th1 * w1 + spec.nu2 * th2 * w2)
     return TridiagonalSystem(lower=row_low[1:], diag=diag, upper=row_up[:-1],
                              rhs=rhs)
@@ -283,9 +289,10 @@ def _extract_controls(ops: SchemeOperators, phi: np.ndarray,
                       stencil_drift: np.ndarray):
     """Pointwise optimizers at the current iterate.
 
-    Returns (controls, drift, h_of_q, expectations) as `assemble_system`
-    takes them. The jump expectations also give theta*, and the drift also
-    picks the next iterate's slope stencil.
+    Returns (controls, expectations) as `assemble_system` takes them; the
+    controls carry their drift and running-cost rows. The jump expectations
+    also give theta*, and the drift also picks the next iterate's slope
+    stencil.
     """
     spec = ops.spec
     p = _gradient(ops, phi, stencil_drift)
@@ -295,10 +302,11 @@ def _extract_controls(ops: SchemeOperators, phi: np.ndarray,
                                     spec.theta_max)
     _, delta2, th2 = apply_nonlocal(ops.quad_up, phi, spec.nu2, spec.psi2,
                                     spec.theta_max)
-    controls = ControlField(q_star=q, lambda_star=lam, theta1_star=th1,
-                            theta2_star=th2)
-    drift = controlled_drift(spec, ops.base_drift, ops.a_vals, r_q, lam)
-    return controls, drift, h_q, (phi - delta1, phi - delta2)
+    controls = ControlField(
+        q_star=q, lambda_star=lam, theta1_star=th1, theta2_star=th2,
+        drift=controlled_drift(spec, ops.base_drift, ops.a_vals, r_q, lam),
+        cost=running_cost(spec, ops.f_vals, h_q, lam, th1, th2))
+    return controls, (phi - delta1, phi - delta2)
 
 
 def step_backward(ops: SchemeOperators, dt: float, phi_next: np.ndarray,
@@ -315,8 +323,9 @@ def step_backward(ops: SchemeOperators, dt: float, phi_next: np.ndarray,
 
     change, iteration = np.inf, 0
     for iteration in range(1, policy.max_iter + 1):
-        controls, drift, h_q, w = _extract_controls(ops, phi, drift)
-        sys = assemble_system(ops, dt, controls, phi_next, drift, h_q, w)
+        controls, w = _extract_controls(ops, phi, drift)
+        drift = controls.drift
+        sys = assemble_system(ops, dt, controls, phi_next, w)
         phi_new = thomas_solve(sys)
         change = float(np.max(np.abs(phi_new - phi)))
         phi = phi_new

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import robpop as rp
-from robpop.solver import controlled_drift
+from robpop.solver import controlled_drift, running_cost
 
 BENCH_N_CELLS = 500
 BENCH_DT = 0.005
@@ -49,13 +49,26 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def reference_handoff(ops, controls, phi):
-    """What assembly takes at controls and lagged iterate phi, evaluated from
-    the spec's coefficients and the quadrature matrices: the drift, h(q*)
-    and the jump expectations (W1 phi, W2 phi)."""
+def controls_at(ops, q, lam, th1, th2):
+    """A ControlField at the given controls, its drift and running-cost rows
+    evaluated from the spec's own coefficients at the nodes."""
     spec = ops.spec
-    drift = controlled_drift(spec, ops.base_drift, ops.a_vals,
-                             spec.growth_rate_r(controls.q_star),
-                             controls.lambda_star)
-    return (drift, spec.cost_h(controls.q_star),
+    x = ops.mesh.nodes
+    base_drift = spec.gamma1 - (spec.gamma0 + spec.gamma1) * x
+    drift = controlled_drift(spec, base_drift,
+                             np.asarray(spec.growth_a(x), dtype=float),
+                             spec.growth_rate_r(q), lam)
+    cost = running_cost(spec, np.asarray(spec.disutility_f(x), dtype=float),
+                        spec.cost_h(q), lam, th1, th2)
+    return rp.ControlField(q_star=q, lambda_star=lam, theta1_star=th1,
+                           theta2_star=th2, drift=drift, cost=cost)
+
+
+def reference_handoff(ops, controls, phi):
+    """What assembly takes at the controls and lagged iterate phi, evaluated
+    from the spec's coefficients and the quadrature matrices: the controls
+    with their drift and running-cost rows, and the jump expectations
+    (W1 phi, W2 phi)."""
+    return (controls_at(ops, controls.q_star, controls.lambda_star,
+                        controls.theta1_star, controls.theta2_star),
             (ops.quad_down.weights @ phi, ops.quad_up.weights @ phi))

@@ -168,8 +168,8 @@ def test_criterion_09_scheme_structure(bench_mesh, bench_solve_uncontrolled,
     # M-matrix structure (a violation raises); re-check one system explicitly
     phi = bench_solve_controlled.final_value
     ctrl = bench_solve_controlled.final_controls
-    sys = assemble_system(ops, BENCH_DT, ctrl, phi,
-                          *reference_handoff(ops, ctrl, phi))
+    reference, w = reference_handoff(ops, ctrl, phi)
+    sys = assemble_system(ops, BENCH_DT, reference, phi, w)
     off = np.zeros_like(sys.diag)
     off[1:] += np.abs(sys.lower)
     off[:-1] += np.abs(sys.upper)

@@ -131,10 +131,11 @@ def test_solver_and_oracle_defaults_are_the_library_defaults():
         | {"model.jump1", "model.jump2"})
 
 
-def test_benchmark_tracer_finds_every_name_it_wraps():
+def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
     # perfbench/layers.py wraps library names by string; a name the library
-    # drops makes a traced benchmark run report it absent and lose its
-    # metrics while still exiting 0
+    # drops, or a signature its per-call extras no longer read, makes a
+    # traced benchmark run report it absent and lose its metrics while still
+    # exiting 0
     module_spec = importlib.util.spec_from_file_location(
         "layers", ROOT / "perfbench" / "layers.py")
     layers = importlib.util.module_from_spec(module_spec)
@@ -143,8 +144,19 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     tracer.install()
     try:
         assert tracer.missing == []
+        code, _ = run_cli(tmp_path, MC_TINY + "; mc.n_paths = 200")
+        metrics = layers.layer_metrics(tracer.collect())
+        assert tracer.missing == []
     finally:
         tracer.uninstall()
+    assert code == 0
+    assert set(layers.METRIC_COUNTERS) <= set(metrics)
+    # one assembly per policy iteration, one extraction per iteration plus
+    # the re-extraction that reports each step's controls
+    iters = metrics["solver.tridiag_calls"]
+    assert metrics["solver.assemble_calls"] == iters
+    assert (metrics["local_ops.lambda_calls"] == metrics["local_ops.q_calls"]
+            == iters + metrics["solver.steps_marched"])
 
 
 def test_build_spec_from_tables():
@@ -544,7 +556,7 @@ def test_mc_check_gate_failure_exits_three(tmp_path):
 @pytest.mark.parametrize("statement", [
     "mc.n_paths = 0", "mc.chunk_size = 0", "mc.dt_sim = -0.002",
     "mc.start_x = 1.5", "mc.dt_sim = 0.01", "mc.dt_sim = 5e-324",
-    "mc.dt_sim = 1e-300"])
+    "mc.dt_sim = 1e-300", "mc.seed = -1"])
 def test_bad_mc_setting_exits_one_before_solving(tmp_path, monkeypatch,
                                                  statement):
     def never(*args, **kwargs):

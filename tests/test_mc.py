@@ -9,23 +9,23 @@ from robpop.jump_ops import entropy_penalty
 from robpop.mc import SimConfig, make_jump_sampler
 from robpop.model import (tabulated, tabulated_density, tent_disutility,
                           uniform_density)
-from robpop.solver import (ControlField, ControlTable, migration_drift,
-                           running_cost)
+from robpop.solver import ControlTable, build_scheme, running_cost
+
+from conftest import controls_at
 
 ZERO_FN = tabulated([[0.0, 0.0], [1.0, 0.0]])
 ONE_FN = tabulated([[0.0, 1.0], [1.0, 1.0]])
 
 
-def constant_table(horizon, q=0.0, lam=0.0, th1=1.0, th2=1.0):
-    """One control slice held over the whole horizon: a one-step time grid."""
-    mesh = rp.build_mesh(10)
-    one = np.ones(mesh.n_nodes)
-    return ControlTable(time_grid=rp.build_time_grid(horizon, horizon),
-                        mesh=mesh,
-                        levels=[ControlField(q_star=q * one,
-                                             lambda_star=lam * one,
-                                             theta1_star=th1 * one,
-                                             theta2_star=th2 * one)])
+def constant_table(spec, q=0.0, lam=0.0, th1=1.0, th2=1.0):
+    """One control slice held over the whole horizon: a one-step time grid.
+    Its drift and running-cost rows come from the spec's coefficients."""
+    ops = build_scheme(spec, rp.build_mesh(10))
+    one = np.ones(ops.mesh.n_nodes)
+    grid = rp.build_time_grid(spec.horizon, spec.horizon)
+    return ControlTable(time_grid=grid, mesh=ops.mesh,
+                        levels=[controls_at(ops, q * one, lam * one,
+                                            th1 * one, th2 * one)])
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +61,7 @@ def test_tabulated_density_sampling_mean(rng):
 def test_zero_cost_zero_distortion_is_exactly_zero():
     spec = replace(rp.make_paper_spec(False), disutility_f=ZERO_FN,
                    horizon=0.25)
-    est = rp.simulate_value(spec, constant_table(spec.horizon),
+    est = rp.simulate_value(spec, constant_table(spec),
                             SimConfig(dt_sim=0.005, n_paths=64, master_seed=1))
     assert est.mean == 0.0
     assert est.std_err == 0.0
@@ -73,7 +73,7 @@ def test_constant_rate_integral_is_exact():
     spec = replace(rp.make_paper_spec(False), sigma=0.0, nu1=0.0, nu2=0.0,
                    gamma0=0.0, gamma1=0.0, growth_a=ZERO_FN,
                    disutility_f=ONE_FN, horizon=2.0)
-    est = rp.simulate_value(spec, constant_table(spec.horizon),
+    est = rp.simulate_value(spec, constant_table(spec),
                             SimConfig(dt_sim=2.0 ** -11, n_paths=8,
                                       master_seed=3))
     assert est.mean == 2.0
@@ -83,7 +83,7 @@ def test_constant_rate_integral_is_exact():
 def test_bitwise_reproducibility():
     spec = replace(rp.make_paper_spec(False), horizon=0.5)
     cfg = SimConfig(dt_sim=0.002, n_paths=3_000, master_seed=11)
-    table = constant_table(spec.horizon, lam=0.2, th1=0.8, th2=1.2)
+    table = constant_table(spec, lam=0.2, th1=0.8, th2=1.2)
     a = rp.simulate_value(spec, table, cfg)
     b = rp.simulate_value(spec, table, cfg)
     assert (a.mean, a.std_err, a.n_paths) == (b.mean, b.std_err, b.n_paths)
@@ -93,15 +93,15 @@ def test_chunking_covers_all_paths(monkeypatch):
     monkeypatch.setattr(rp.mc, "CHUNK_PATHS", 128)
     spec = replace(rp.make_paper_spec(False), horizon=0.1)
     cfg = SimConfig(dt_sim=0.005, n_paths=1_000, master_seed=5)
-    batch = rp.simulate_paths(spec, constant_table(spec.horizon), cfg)
+    batch = rp.simulate_paths(spec, constant_table(spec), cfg)
     assert batch.total.size == 1_000
 
 
 def test_states_stay_in_unit_interval():
     spec = replace(rp.make_paper_spec(False), sigma=2.0, horizon=1.0)
     cfg = SimConfig(dt_sim=0.001, n_paths=2_000, master_seed=9, start_x=0.9)
-    batch = rp.simulate_paths(spec, constant_table(spec.horizon, th1=1.5,
-                                                   th2=1.5), cfg)
+    batch = rp.simulate_paths(spec, constant_table(spec, th1=1.5,
+                                              th2=1.5), cfg)
     assert batch.x_min.min() >= 0.0
     assert batch.x_max.max() <= 1.0
 
@@ -112,8 +112,8 @@ def test_thinning_matches_poisson_rate(theta):
     # row proposes none
     spec = replace(rp.make_paper_spec(False), theta_max=4.0, horizon=2.0)
     cfg = SimConfig(dt_sim=0.001, n_paths=4_000, master_seed=17)
-    batch = rp.simulate_paths(spec, constant_table(spec.horizon, th1=theta,
-                                                   th2=theta), cfg)
+    batch = rp.simulate_paths(spec, constant_table(spec, th1=theta,
+                                              th2=theta), cfg)
     expected = cfg.n_paths * spec.nu1 * theta * spec.horizon
     tolerance = 4.0 * np.sqrt(expected)
     assert abs(batch.jumps_down.sum() - expected) <= tolerance
@@ -129,7 +129,7 @@ def test_thinning_at_the_row_bound_with_theta_varying_in_x():
     # ten is accepted
     spec = replace(rp.make_paper_spec(False), nu2=0.0, gamma1=0.0,
                    horizon=2.0)
-    table = constant_table(spec.horizon, th1=np.linspace(0.3, 3.0, 11))
+    table = constant_table(spec, th1=np.linspace(0.3, 3.0, 11))
     cfg = SimConfig(dt_sim=0.001, n_paths=4_000, master_seed=31, start_x=0.0)
     batch = rp.simulate_paths(spec, table, cfg)
     assert batch.x_max.max() == 0.0
@@ -153,10 +153,7 @@ def test_penalty_part_never_positive(controls, h):
     spec = rp.make_paper_spec(True)
     lam, th1, th2 = (np.asarray(c, dtype=float) for c in zip(*controls))
     f = np.linspace(0.0, 1.0, lam.size)
-    cost = running_cost(spec, f, np.full(lam.size, h),
-                        ControlField(q_star=np.zeros(lam.size),
-                                     lambda_star=lam, theta1_star=th1,
-                                     theta2_star=th2))
+    cost = running_cost(spec, f, np.full(lam.size, h), lam, th1, th2)
     assert np.all(cost <= f + h)
 
 
@@ -192,17 +189,14 @@ def test_node_rows_match_the_per_path_composition(with_control):
     xs = np.linspace(0.0, 1.0, 20_001)
     idx, w = mesh.locate(xs)
     nodes = mesh.nodes
-    a_nodes = spec.growth_a(nodes)
     a_xs = spec.growth_a(xs)
-    diffusion = rp.mc._row("diffusion", spec.sigma * a_nodes)
+    diffusion = rp.mc._row("diffusion", spec.sigma * spec.growth_a(nodes))
     assert (np.abs(rp.mc._lerp(diffusion, idx, w) - spec.sigma * a_xs).max()
             <= spec.sigma * mesh.dx ** 2 / 4.0 + 1e-12)
 
-    base_drift = migration_drift(spec, nodes)
     cost_gap = drift_gap = 0.0
     for level in {id(lv): lv for lv in table.levels}.values():
-        cost_row, drift_row, _, _ = rp.mc._level_rows(
-            spec, a_nodes, spec.disutility_f(nodes), base_drift, level)
+        cost_row, drift_row, _, _ = rp.mc._level_rows(level)
         q, lam, th1, th2 = (np.interp(xs, nodes, row) for row in (
             level.q_star, level.lambda_star, level.theta1_star,
             level.theta2_star))
@@ -246,10 +240,9 @@ def test_coefficient_calls_do_not_depend_on_paths_or_steps_per_level():
                                     master_seed=7))
         calls.append({name: c.calls for name, c in counters.items()})
     assert calls[0] == calls[1] == calls[2]
-    # a and f once per call, h and r once per control level
-    levels = len(table.levels)
-    assert calls[0] == {"growth_a": 1, "disutility_f": 1,
-                        "growth_rate_r": levels, "cost_h": levels}
+    # a once per call for the diffusion row; the table carries the rest
+    assert calls[0] == {"growth_a": 1, "disutility_f": 0,
+                        "growth_rate_r": 0, "cost_h": 0}
 
 
 def nan_at_half(fn):
@@ -274,7 +267,7 @@ def test_non_finite_row_fails_fast(name, override, controls):
     # misleading "interpolation points must lie in [0, 1]"
     spec = replace(rp.make_paper_spec(False), horizon=0.1, **override)
     with pytest.raises(ValueError, match=f"{name} row is not finite at node 5"):
-        rp.simulate_paths(spec, constant_table(spec.horizon, **controls),
+        rp.simulate_paths(spec, constant_table(spec, **controls),
                           SimConfig(dt_sim=0.01, n_paths=16))
 
 
@@ -310,7 +303,7 @@ def test_rejects_dt_sim_coarser_than_table():
 
 def test_rejects_bad_config():
     spec = replace(rp.make_paper_spec(False), horizon=0.5)
-    table = constant_table(spec.horizon)
+    table = constant_table(spec)
     with pytest.raises(ValueError):
         rp.simulate_value(spec, table, SimConfig(dt_sim=-0.1, n_paths=4))
     with pytest.raises(ValueError):

@@ -6,25 +6,25 @@ from hypothesis import strategies as st
 
 import robpop as rp
 from robpop.model import tabulated, zero_rate
-from robpop.solver import (ControlField, PolicyConfig, PolicyIterationError,
+from robpop.solver import (PolicyConfig, PolicyIterationError,
                            SchemeError, SingularSystemError, TridiagonalSystem,
                            _extract_controls, _gradient,
                            assemble_system, build_scheme, ergodic_estimate,
                            step_backward, switching_points, thomas_solve)
 
-from conftest import reference_handoff
+from conftest import controls_at, reference_handoff
 
 ZERO_FN = tabulated([[0.0, 0.0], [1.0, 0.0]])
 
 
-def neutral_controls(n):
-    return ControlField(q_star=np.zeros(n), lambda_star=np.zeros(n),
-                        theta1_star=np.ones(n), theta2_star=np.ones(n))
+def neutral_controls(ops):
+    n = ops.mesh.n_nodes
+    return controls_at(ops, np.zeros(n), np.zeros(n), np.ones(n), np.ones(n))
 
 
 def assemble_at(ops, dt, controls, phi_next, phi_lagged):
-    return assemble_system(ops, dt, controls, phi_next,
-                           *reference_handoff(ops, controls, phi_lagged))
+    reference, w = reference_handoff(ops, controls, phi_lagged)
+    return assemble_system(ops, dt, reference, phi_next, w)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +104,7 @@ def test_assemble_upwind_row_from_pure_drift():
     # D=0, b=0.5, dx=0.1, dt=0.005: upwind puts -b/dx above the diagonal
     ops = pure_drift_ops(a_level=0.5, r_level=1.0, sigma=0.0)
     n = ops.mesh.n_nodes
-    sys = assemble_at(ops, 0.005, neutral_controls(n), np.zeros(n), np.zeros(n))
+    sys = assemble_at(ops, 0.005, neutral_controls(ops), np.zeros(n), np.zeros(n))
     i = 5
     assert sys.lower[i - 1] == pytest.approx(0.0)
     assert sys.upper[i] == pytest.approx(-5.0)
@@ -115,7 +115,7 @@ def test_assemble_central_row_when_diffusion_dominates():
     # D=1, b=0.5, dx=0.1: central is admissible since 2D/dx = 20 >= 0.5
     ops = pure_drift_ops(a_level=1.0, r_level=0.5, sigma=np.sqrt(2.0))
     n = ops.mesh.n_nodes
-    sys = assemble_at(ops, 0.005, neutral_controls(n), np.zeros(n), np.zeros(n))
+    sys = assemble_at(ops, 0.005, neutral_controls(ops), np.zeros(n), np.zeros(n))
     i = 5
     assert sys.lower[i - 1] == pytest.approx(-97.5)
     assert sys.upper[i] == pytest.approx(-102.5)
@@ -126,7 +126,7 @@ def test_assemble_zero_data_gives_zero_solution():
     mesh = rp.build_mesh(30)
     ops = build_scheme(spec, mesh)
     n = mesh.n_nodes
-    sys = assemble_at(ops, 0.005, neutral_controls(n), np.zeros(n), np.zeros(n))
+    sys = assemble_at(ops, 0.005, neutral_controls(ops), np.zeros(n), np.zeros(n))
     np.testing.assert_allclose(sys.rhs, 0.0, atol=1e-14)
     np.testing.assert_allclose(thomas_solve(sys), 0.0, atol=1e-14)
 
@@ -138,10 +138,9 @@ def test_assembled_rows_are_m_matrix_rows():
     n = mesh.n_nodes
     rng = np.random.default_rng(3)
     phi = rng.uniform(0.0, 2.0, n)
-    controls = ControlField(q_star=rng.choice([0.0, 1.0], n),
-                            lambda_star=rng.uniform(-1.0, 1.0, n),
-                            theta1_star=rng.uniform(0.2, 2.0, n),
-                            theta2_star=rng.uniform(0.2, 2.0, n))
+    controls = controls_at(ops, rng.choice([0.0, 1.0], n),
+                           rng.uniform(-1.0, 1.0, n), rng.uniform(0.2, 2.0, n),
+                           rng.uniform(0.2, 2.0, n))
     dt = 0.005
     sys = assemble_at(ops, dt, controls, phi, phi)
     assert np.all(sys.lower <= 1e-12)
@@ -162,13 +161,13 @@ def test_end_rows_hold_only_the_inward_drift():
     n, dx = mesh.n_nodes, mesh.dx
     rng = np.random.default_rng(3)
     phi = rng.uniform(0.0, 2.0, n)
-    controls = ControlField(q_star=rng.choice([0.0, 1.0], n),
-                            lambda_star=rng.uniform(-1.0, 1.0, n),
-                            theta1_star=rng.uniform(0.2, 2.0, n),
-                            theta2_star=rng.uniform(0.2, 2.0, n))
+    controls = controls_at(ops, rng.choice([0.0, 1.0], n),
+                           rng.uniform(-1.0, 1.0, n), rng.uniform(0.2, 2.0, n),
+                           rng.uniform(0.2, 2.0, n))
     dt = 0.005
-    b, h_q, w = reference_handoff(ops, controls, phi)
-    sys = assemble_system(ops, dt, controls, phi, b, h_q, w)
+    sys = assemble_system(ops, dt, controls, phi,
+                          reference_handoff(ops, controls, phi)[1])
+    b = controls.drift
     th1, th2 = controls.theta1_star, controls.theta2_star
     assert b[0] > 0.0 > b[-1]
     assert sys.upper[0] == -b[0] / dx
@@ -192,7 +191,7 @@ def test_end_slopes_are_one_sided(end_drift):
 def test_m_matrix_check_rejects_nan_entries():
     ops = build_scheme(rp.make_paper_spec(False), rp.build_mesh(20))
     n = ops.mesh.n_nodes
-    controls = neutral_controls(n)
+    controls = neutral_controls(ops)
     controls.theta1_star[7] = np.nan
     with pytest.raises(SchemeError):
         assemble_at(ops, 0.005, controls, np.zeros(n), np.zeros(n))
@@ -205,11 +204,11 @@ def test_extraction_hands_assembly_what_it_would_evaluate():
     ops = build_scheme(spec, rp.build_mesh(200))
     x = ops.mesh.nodes
     phi = 4.0 * (x - 0.5) ** 2 + 0.1 * np.sin(9.0 * x)
-    controls, drift, h_q, (w1, w2) = _extract_controls(ops, phi, ops.first_drift)
+    controls, (w1, w2) = _extract_controls(ops, phi, ops.first_drift)
     assert set(controls.q_star.tolist()) == {0.0, 0.5, 1.0}
-    ref_drift, ref_h, (ref_w1, ref_w2) = reference_handoff(ops, controls, phi)
-    assert np.array_equal(drift, ref_drift)
-    assert np.array_equal(h_q, ref_h)
+    reference, (ref_w1, ref_w2) = reference_handoff(ops, controls, phi)
+    assert np.array_equal(controls.drift, reference.drift)
+    assert np.array_equal(controls.cost, reference.cost)
     np.testing.assert_allclose(w1, ref_w1, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(w2, ref_w2, rtol=0.0, atol=1e-12)
 
