@@ -8,7 +8,7 @@ of the distorted dynamics.
 """
 
 from .grid import Mesh, TimeGrid, build_mesh, build_time_grid
-from .jump_ops import (JumpQuadrature, apply_expectation, apply_nonlocal,
+from .jump_ops import (JumpQuadrature, apply_nonlocal, block_quadrature,
                        build_jump_quadrature, entropy_penalty)
 from .local_ops import lambda_field, q_field
 from .mc import (JumpSampler, PathBatch, SimConfig, ValueEstimate,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Mesh", "TimeGrid", "build_mesh", "build_time_grid",
-    "JumpQuadrature", "apply_expectation", "apply_nonlocal",
+    "JumpQuadrature", "apply_nonlocal", "block_quadrature",
     "build_jump_quadrature", "entropy_penalty",
     "lambda_field", "q_field",
     "JumpSampler", "PathBatch", "SimConfig", "ValueEstimate",

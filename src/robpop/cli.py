@@ -6,7 +6,8 @@ separates statements on one line, so the provenance comment emitted at the
 top of every CSV can be re-parsed as a complete config reproducing the run.
 
 Commands: ``solve`` writes value.csv, controls.csv, ergodic.csv, omega1.csv;
-``sweep`` re-solves along one parameter axis and writes sweep.csv;
+``sweep`` solves the specs along one parameter axis together, as one
+batch in this process, and writes sweep.csv;
 ``mc-check`` cross-validates the solved value against the Monte Carlo
 estimator. Exit codes: 0 success, 1 usage, 2 solver failure, 3 mc-check gate
 failure.
@@ -17,7 +18,6 @@ from __future__ import annotations
 import argparse
 import ast
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -305,10 +305,12 @@ def _run_sweep(cfg: RunConfig, base: ProblemSpec, out: Path, quiet: bool) -> int
     if not _valid(specs):
         return 1
     mesh, tg, solver_kw = _run_setup(cfg, base)
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    workers = min(cores, len(specs))
-    results = solve_many(specs, mesh, tg, workers=workers, **solver_kw)
+    try:
+        results = solve_many(specs, mesh, tg, **solver_kw)
+    except (PolicyIterationError, SchemeError) as exc:
+        print(f"solver failure at {param} = {values[exc.spec_index]:g}: "
+              f"{exc}", file=sys.stderr)
+        return 2
 
     rows = []
     for v, spec, res in zip(values, specs, results):
@@ -360,7 +362,7 @@ def _valid(specs) -> bool:
     """Validate the specs a command will solve, before it solves any of them.
 
     Each distinct violation is reported once; a bad swept value is then a
-    usage error (exit 1) rather than a failure after the pool has run.
+    usage error (exit 1) rather than a failure after the batch has run.
     """
     violations = dict.fromkeys(v for spec in specs
                                for v in validate_spec(spec))

@@ -9,8 +9,10 @@ pass through the expectation unchanged, which is what keeps the discrete
 operators comparison-preserving.
 
 The worst-case intensity distortion has the closed form theta* = exp(-psi *
-delta) with delta = phi(x) - E[phi(post-jump)], and the distorted operator
-value is (nu/psi) * (1 - exp(-psi * delta)).
+delta) with delta = phi(x) - E[phi(post-jump)]; the distorted operator value
+it attains, (nu/psi) * (1 - exp(-psi * delta)), is not needed by the scheme.
+`block_quadrature` stacks the quadratures of both jump kinds, once per field
+of a batch, into one matrix, so that one mat-vec gives every expectation.
 """
 
 from __future__ import annotations
@@ -37,11 +39,7 @@ def entropy_penalty(theta):
 
 @dataclass(frozen=True, eq=False)
 class JumpQuadrature:
-    weights: sp.csr_matrix      # (n_nodes, n_nodes), rows sum to 1
-
-    @property
-    def n_nodes(self) -> int:
-        return self.weights.shape[0]
+    weights: sp.csr_matrix      # rows sum to 1; W @ phi is the expectation
 
 
 def post_jump(kind: TransformKind, z: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -83,26 +81,38 @@ def build_jump_quadrature(mesh: Mesh, density: JumpDensity,
     return JumpQuadrature(weights=(inv @ mat).tocsr())
 
 
-def apply_expectation(quad: JumpQuadrature, phi: np.ndarray) -> np.ndarray:
-    """Row-wise post-jump expectation W @ phi."""
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (quad.n_nodes,):
-        raise ValueError(f"field has shape {phi.shape}, quadrature expects "
-                         f"({quad.n_nodes},)")
-    return quad.weights @ phi
+def block_quadrature(quads, copies: int) -> JumpQuadrature:
+    """One quadrature over `copies` fields laid end to end.
 
-
-def apply_nonlocal(quad: JumpQuadrature, phi: np.ndarray, nu: float, psi: float,
-                   theta_max: float):
-    """Worst-case distorted jump operator and its minimizing intensity factor.
-
-    Returns (values, delta, theta_star) with delta = phi - W @ phi,
-    values = (nu/psi)(1 - exp(-psi delta)) and theta_star = exp(-psi delta)
-    clamped into [0, theta_max].
+    Its rows are, for each of `quads` in turn, that quadrature's rows once
+    per field, each copy reading its own field's columns; so W @ phi.ravel(),
+    for phi of shape (copies, n), holds every quadrature's expectation of
+    every field. Built from each W's own index arrays, so every row keeps the
+    order of its entries and each expectation is bitwise its own quadrature's.
     """
-    if psi <= 0.0:
+    n = quads[0].weights.shape[1]
+    parts = [(quad.weights, j * n) for quad in quads for j in range(copies)]
+    starts = np.cumsum([0] + [w.indptr[-1] for w, _ in parts])
+    indptr = np.concatenate([[0]] + [w.indptr[1:] + start
+                                     for (w, _), start in zip(parts, starts)])
+    indices = np.concatenate([w.indices + offset for w, offset in parts])
+    data = np.concatenate([w.data for w, _ in parts])
+    return JumpQuadrature(weights=sp.csr_matrix(
+        (data, indices, indptr), shape=(len(parts) * n, copies * n)))
+
+
+def apply_nonlocal(quad: JumpQuadrature, phi: np.ndarray, psi, theta_max):
+    """The jump gaps and their worst-case intensity factors.
+
+    `quad` holds m blocks of rows, each the size of phi (a field of shape
+    (n,), or k fields of shape (k, n), as `block_quadrature` lays them out).
+    Returns (delta, theta_star), each of shape (m,) + phi.shape, with delta
+    = phi - W phi and theta_star = exp(-psi delta) clamped into [0,
+    theta_max]; psi and theta_max broadcast against them.
+    """
+    if not np.asarray(psi).min() > 0.0:
         raise ValueError("psi must be > 0")
-    delta = np.asarray(phi, dtype=float) - apply_expectation(quad, phi)
-    values = (nu / psi) * (-np.expm1(-psi * delta))
+    phi = np.asarray(phi, dtype=float)
+    delta = phi - (quad.weights @ phi.ravel()).reshape(-1, *phi.shape)
     theta_star = np.minimum(np.exp(-psi * delta), theta_max)
-    return values, delta, theta_star
+    return delta, theta_star

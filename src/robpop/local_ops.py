@@ -5,7 +5,9 @@ discrete candidate table (q_k, r(q_k), h(q_k)) built once per solve by
 :func:`q_candidates` (ties broken toward the smallest q, i.e. toward no
 intervention); nature's drift distortion lambda minimizes the quadratic
 -sigma lambda a(x) p + lambda^2 / (2 psi0) in closed form with clamping to
-[-lambda_max, lambda_max]. Both work on whole node arrays.
+[-lambda_max, lambda_max]. Both work on whole node arrays, one row per spec
+of a batch, and return the maximizers only: the step never reads the
+objective values they attain.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ import numpy as np
 from .model import ProblemSpec
 
 
-def lambda_field(spec: ProblemSpec, a_vals: np.ndarray, p_vals: np.ndarray):
-    """Vectorized worst-case drift distortion and its objective value."""
-    lam = np.clip(spec.psi0 * spec.sigma * a_vals * p_vals,
-                  -spec.lambda_max, spec.lambda_max)
-    value = -spec.sigma * lam * a_vals * p_vals + lam ** 2 / (2.0 * spec.psi0)
-    return lam, value
+def lambda_field(scale, bound, p_vals: np.ndarray) -> np.ndarray:
+    """Worst-case drift distortion clip(psi0 sigma a p, -bound, bound).
+
+    `scale` is the row psi0 sigma a(x) and `bound` is lambda_max; both
+    broadcast against the slopes p.
+    """
+    return np.minimum(np.maximum(scale * p_vals, -bound), bound)
 
 
 def q_candidates(spec: ProblemSpec):
@@ -33,11 +36,18 @@ def q_candidates(spec: ProblemSpec):
 def q_field(table, a_vals: np.ndarray, p_vals: np.ndarray):
     """Vectorized discrete argmax of -r(q) a p - h(q); first (smallest) q wins ties.
 
-    `table` is the output of :func:`q_candidates`. Returns (q_star,
-    max_value, r_at_q_star, h_at_q_star).
+    `table` is the output of :func:`q_candidates`, shared by every row of
+    a p, or such a table with one row per row of a p, shape (k, m). Returns
+    (q_star, r_at_q_star, h_at_q_star), shaped like a p.
     """
     qs, r_vals, h_vals = table
-    objective = -np.outer(r_vals, a_vals * p_vals) - h_vals[:, None]
-    k = np.argmax(objective, axis=0)
-    cols = np.arange(objective.shape[1])
-    return qs[k], objective[k, cols], r_vals[k], h_vals[k]
+    ap = a_vals * p_vals
+    if r_vals.ndim == 1:
+        objective = -np.outer(r_vals, ap) - h_vals[:, None]
+        k = objective.argmax(axis=0).reshape(ap.shape)
+    else:
+        objective = -(r_vals[:, :, None] * ap[:, None, :]) - h_vals[:, :, None]
+        k = (objective.argmax(axis=1)
+             + r_vals.shape[1] * np.arange(len(r_vals))[:, None])
+        qs, r_vals, h_vals = qs.ravel(), r_vals.ravel(), h_vals.ravel()
+    return qs[k], r_vals[k], h_vals[k]

@@ -4,7 +4,7 @@ A :class:`ProblemSpec` collects everything that defines one control problem:
 the noise magnitudes, migration intensities, jump intensities and densities,
 ambiguity-aversion weights, control bounds, the horizon, and the coefficient
 functions (density-dependent growth, controlled growth rate, control cost,
-disutility). Specs are immutable and safe to share across concurrent solves.
+disutility). Specs are immutable.
 The field defaults are the paper's uncontrolled benchmark, and
 `make_paper_spec` states its controlled variant.
 
@@ -25,7 +25,7 @@ Coefficient = Callable[..., np.ndarray]
 
 
 # ---------------------------------------------------------------------------
-# coefficient presets (module-level so specs pickle for process pools)
+# coefficient presets
 # ---------------------------------------------------------------------------
 
 def logistic_growth(x):

@@ -20,24 +20,33 @@ couplings past both ends included. The jump expectations are lagged at
 the current policy iterate, which keeps every linear solve tridiagonal; the
 local parts nu theta phi stay implicit.
 
+The step works on a batch of k specs that share the mesh, the time grid and
+both jump quadratures: each node row is a (k, n) array, one row per spec.
+One policy iteration serves all k, with one sparse mat-vec for both jump
+kinds and one tridiagonal solve of the k systems laid end to end. A spec
+leaves the iteration once its slice has converged and leaves the march at
+its ergodic exit, so every result is bitwise what solving its spec alone
+gives; `solve_backward(spec)` is the batch of one.
+
 In the ergodic regime Phi(t, x) = w(x) + E (T - t) up to a vanishing error,
 so once the per-node estimate of E has settled every further step only adds
 E dt. The march then stops at that level t* and writes the rest of the
-horizon as Phi(t*) + E (t* - t) (relative value iteration).
+horizon as Phi(t*) + E (t* - t) (relative value iteration). The controls are
+extracted at the converged slices only where they are used: after every step
+when they are recorded, else once, at the exit.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.linalg import lapack
 
 from .grid import Mesh, TimeGrid
 from .jump_ops import (N_QUAD, JumpQuadrature, apply_nonlocal,
-                       build_jump_quadrature, entropy_penalty)
+                       block_quadrature, build_jump_quadrature,
+                       entropy_penalty)
 from .local_ops import lambda_field, q_candidates, q_field
 from .model import ProblemSpec, validate_spec
 
@@ -51,16 +60,22 @@ ERGODIC_EXIT_STEPS = 10
 class SchemeError(RuntimeError):
     """An assembled row violated the M-matrix structure or is not finite."""
 
+    def __init__(self, message: str, spec_index: int):
+        super().__init__(message)
+        self.spec_index = spec_index
+
 
 class SingularSystemError(RuntimeError):
     """Tridiagonal elimination hit a zero pivot."""
 
 
 class PolicyIterationError(RuntimeError):
-    def __init__(self, message: str, residual: float, time_label: float):
+    def __init__(self, message: str, residual: float, time_label: float,
+                 spec_index: int):
         super().__init__(message)
         self.residual = residual
         self.time_label = time_label
+        self.spec_index = spec_index
 
 
 # ---------------------------------------------------------------------------
@@ -82,9 +97,14 @@ class ControlField:
 
 @dataclass
 class TridiagonalSystem:
-    lower: np.ndarray   # subdiagonal, length n-1
-    diag: np.ndarray    # length n
-    upper: np.ndarray   # superdiagonal, length n-1
+    """Tridiagonal systems, one per row of the last axis. The couplings are
+    full length: lower[..., i] couples node i to node i - 1 and upper[...,
+    i] to node i + 1, so lower[..., 0] and upper[..., -1] couple past the
+    ends and must be zero."""
+
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
     rhs: np.ndarray
 
 
@@ -143,141 +163,301 @@ class PolicyConfig:
 
 @dataclass(frozen=True, eq=False)
 class SchemeOperators:
-    spec: ProblemSpec
+    """The discretized operators of a batch of k specs on one mesh.
+
+    A node row that every spec of the batch has in common is one (n,) array,
+    else a (k, n) stack; a scalar they share is a float, else a (k, 1)
+    column; a scalar per jump kind is a (2, 1, 1) or a (2, k, 1) array.
+    Per-spec entries run over the specs on their second-to-last axis (see
+    `subset`). The rows the step reads on every iterate are built here, once
+    per solve.
+    """
+
+    specs: tuple[ProblemSpec, ...]
+    index: tuple[int, ...]      # each spec's position in the batch built
+    batch_size: int             # the number of specs in the batch built
     mesh: Mesh
     quad_down: JumpQuadrature
     quad_up: JumpQuadrature
+    jumps: JumpQuadrature       # W1 for each spec, then W2 for each spec
     a_vals: np.ndarray
     f_vals: np.ndarray
     base_drift: np.ndarray      # gamma1 - (gamma0 + gamma1) x
-    diffusion: np.ndarray       # sigma^2 a^2 / 2
-    q_table: tuple              # (q_k, r(q_k), h(q_k)), see q_candidates
-    first_drift: np.ndarray     # uncontrolled drift (q = 0, lambda = 0)
+    q_table: tuple              # (q_k, r(q_k), h(q_k)), see q_field
+    first_stencil: tuple        # (drift, central mask) at q = 0, lambda = 0
+    lambda_scale: np.ndarray    # psi0 sigma a
+    sigma: float | np.ndarray
+    psi0: float | np.ndarray
+    lambda_max: float | np.ndarray
+    theta_max: float | np.ndarray
+    nu: np.ndarray              # (nu1, nu2) per jump kind
+    psi: np.ndarray             # (psi1, psi2)
+    entropy_weight: np.ndarray  # (nu1 / psi1, nu2 / psi2)
+    d_dx2: np.ndarray           # D / dx^2, with D = sigma^2 a^2 / 2
+    neg_d_dx2: np.ndarray       # -D / dx^2
+    two_d_dx2: np.ndarray       # 2 D / dx^2
+    two_d_dx: np.ndarray        # 2 D / dx, the central-stencil bound on |b|
+    _subsets: dict = field(default_factory=dict, repr=False)
+    _blocks: dict = field(default_factory=dict, repr=False)
+
+    def subset(self, positions) -> SchemeOperators:
+        """The operators of the specs at `positions` of this batch, built
+        once per subset and then cached."""
+        index = tuple(self.index[p] for p in positions)
+        found = self._subsets.get(index)
+        if found is None:
+            if len(index) not in self._blocks:
+                self._blocks[len(index)] = block_quadrature(
+                    (self.quad_down, self.quad_up), len(index))
+            given = ("specs", "index", "jumps")
+            found = self._subsets[index] = replace(
+                self, specs=tuple(self.specs[p] for p in positions),
+                index=index, jumps=self._blocks[len(index)],
+                **{f.name: _take(getattr(self, f.name), positions)
+                   for f in fields(self) if f.name not in given})
+        return found
 
 
-def controlled_drift(spec: ProblemSpec, base_drift: np.ndarray,
-                     a: np.ndarray, r_of_q: np.ndarray,
-                     lam: np.ndarray) -> np.ndarray:
+def _take(value, positions):
+    """The rows at `positions` of a per-spec entry; entries all specs share
+    (floats, (n,) rows, a spec axis of length one) pass through."""
+    if isinstance(value, tuple):
+        return tuple(_take(v, positions) for v in value)
+    if isinstance(value, np.ndarray) and value.ndim >= 2 and value.shape[-2] > 1:
+        return value[..., positions, :]
+    return value
+
+
+def _rows(rows: list[np.ndarray]) -> np.ndarray:
+    """One (n,) row if every spec has the same, else their (k, n) stack."""
+    if all(np.array_equal(row, rows[0]) for row in rows[1:]):
+        return rows[0]
+    return np.stack(rows)
+
+
+def _scalars(values: list[float]):
+    """A float if every spec has the same, else their (k, 1) column."""
+    if all(v == values[0] for v in values[1:]):
+        return values[0]
+    return np.asarray(values, dtype=float)[:, None]
+
+
+def _pairs(values: list[tuple[float, float]]) -> np.ndarray:
+    """Per-jump-kind scalars: (2, 1, 1) if every spec has the same, else the
+    (2, k, 1) stack."""
+    if all(v == values[0] for v in values[1:]):
+        values = values[:1]
+    return np.asarray(values, dtype=float).T[:, :, None]
+
+
+def _q_tables(tables: list[tuple]) -> tuple:
+    """One shared candidate table, or one row per spec, shape (k, m); shorter
+    tables repeat their last candidate, which never wins a tie."""
+    if all(all(np.array_equal(a, b) for a, b in zip(t, tables[0]))
+           for t in tables[1:]):
+        return tables[0]
+    m = max(len(t[0]) for t in tables)
+    return tuple(np.stack([np.pad(part, (0, m - len(part)), mode="edge")
+                           for part in parts]) for parts in zip(*tables))
+
+
+def controlled_drift(sigma, base_drift: np.ndarray, a: np.ndarray,
+                     r_of_q: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """The drift b = base + (r(q) + sigma lambda) a at the nodes."""
-    return base_drift + (r_of_q + spec.sigma * lam) * a
+    return base_drift + (r_of_q + sigma * lam) * a
 
 
-def running_cost(spec: ProblemSpec, f: np.ndarray, h_of_q: np.ndarray,
-                 lam: np.ndarray, th1: np.ndarray,
-                 th2: np.ndarray) -> np.ndarray:
+def running_cost(psi0, entropy_weight, f: np.ndarray, h_of_q: np.ndarray,
+                 lam: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """The running cost at the nodes: f + h(q) - lambda^2/(2 psi0)
-    - sum_i (nu_i/psi_i) (theta_i ln theta_i + 1 - theta_i)."""
-    return (f + h_of_q
-            - lam ** 2 / (2.0 * spec.psi0)
-            - (spec.nu1 / spec.psi1) * entropy_penalty(th1)
-            - (spec.nu2 / spec.psi2) * entropy_penalty(th2))
+    - sum_i (nu_i/psi_i) (theta_i ln theta_i + 1 - theta_i).
+
+    `theta` stacks theta1 and theta2 on its first axis, and
+    `entropy_weight` (nu1/psi1, nu2/psi2) broadcasts against it.
+    """
+    penalty = entropy_weight * entropy_penalty(theta)
+    return f + h_of_q - lam ** 2 / (2.0 * psi0) - penalty[0] - penalty[1]
 
 
-def build_scheme(spec: ProblemSpec, mesh: Mesh,
-                 n_quad: int = N_QUAD) -> SchemeOperators:
+def build_scheme(specs, mesh: Mesh, n_quad: int = N_QUAD) -> SchemeOperators:
+    """The operators of one spec, or of a batch of specs on one mesh.
+
+    The specs of a batch share both jump quadratures, so their jump
+    densities must be equal; a ValueError names the first that is not.
+    """
+    specs = (specs,) if isinstance(specs, ProblemSpec) else tuple(specs)
+    for i, spec in enumerate(specs[1:], 1):
+        for name in ("jump_density_1", "jump_density_2"):
+            mine, first = getattr(spec, name), getattr(specs[0], name)
+            if not (np.array_equal(mine.xs, first.xs)
+                    and np.array_equal(mine.ys, first.ys)):
+                raise ValueError(f"the specs of one batch must share their "
+                                 f"jump densities: {name} of spec {i} "
+                                 f"differs from that of spec 0")
     x = mesh.nodes
-    a_vals = np.asarray(spec.growth_a(x), dtype=float)
-    base_drift = spec.gamma1 - (spec.gamma0 + spec.gamma1) * x
-    r0 = float(np.asarray(spec.growth_rate_r(0.0), dtype=float))
-    return SchemeOperators(
-        spec=spec,
+    dx = mesh.dx
+    a_vals = [np.asarray(s.growth_a(x), dtype=float) for s in specs]
+    base_drift = [s.gamma1 - (s.gamma0 + s.gamma1) * x for s in specs]
+    diffusion = _rows([0.5 * s.sigma ** 2 * a ** 2
+                       for s, a in zip(specs, a_vals)])
+    first_drift = np.stack([
+        controlled_drift(s.sigma, b, a,
+                         float(np.asarray(s.growth_rate_r(0.0), dtype=float)),
+                         0.0)
+        for s, b, a in zip(specs, base_drift, a_vals)])
+    d_dx2 = diffusion / dx ** 2
+    quad_down = build_jump_quadrature(mesh, specs[0].jump_density_1, "down",
+                                      n_quad)
+    quad_up = build_jump_quadrature(mesh, specs[0].jump_density_2, "up",
+                                    n_quad)
+    two_d_dx = 2.0 * diffusion / dx
+    jumps = block_quadrature((quad_down, quad_up), len(specs))
+    ops = SchemeOperators(
+        specs=specs,
+        index=tuple(range(len(specs))),
+        batch_size=len(specs),
         mesh=mesh,
-        quad_down=build_jump_quadrature(mesh, spec.jump_density_1, "down", n_quad),
-        quad_up=build_jump_quadrature(mesh, spec.jump_density_2, "up", n_quad),
-        a_vals=a_vals,
-        f_vals=np.asarray(spec.disutility_f(x), dtype=float),
-        base_drift=base_drift,
-        diffusion=0.5 * spec.sigma ** 2 * a_vals ** 2,
-        q_table=q_candidates(spec),
-        first_drift=controlled_drift(spec, base_drift, a_vals, r0, 0.0),
+        quad_down=quad_down,
+        quad_up=quad_up,
+        jumps=jumps,
+        a_vals=_rows(a_vals),
+        f_vals=_rows([np.asarray(s.disutility_f(x), dtype=float)
+                      for s in specs]),
+        base_drift=_rows(base_drift),
+        q_table=_q_tables([q_candidates(s) for s in specs]),
+        first_stencil=(first_drift, _central_mask(two_d_dx, first_drift)),
+        lambda_scale=_rows([s.psi0 * s.sigma * a
+                            for s, a in zip(specs, a_vals)]),
+        sigma=_scalars([s.sigma for s in specs]),
+        psi0=_scalars([s.psi0 for s in specs]),
+        lambda_max=_scalars([s.lambda_max for s in specs]),
+        theta_max=_scalars([s.theta_max for s in specs]),
+        nu=_pairs([(s.nu1, s.nu2) for s in specs]),
+        psi=_pairs([(s.psi1, s.psi2) for s in specs]),
+        entropy_weight=_pairs([(s.nu1 / s.psi1, s.nu2 / s.psi2)
+                               for s in specs]),
+        d_dx2=d_dx2,
+        neg_d_dx2=-d_dx2,
+        two_d_dx2=2.0 * d_dx2,
+        two_d_dx=two_d_dx,
+        _blocks={len(specs): jumps},
     )
+    ops._subsets[ops.index] = ops
+    return ops
 
 
-def _central_mask(ops: SchemeOperators, drift: np.ndarray) -> np.ndarray:
-    central = 2.0 * ops.diffusion / ops.mesh.dx >= np.abs(drift)
-    central[0] = False
-    central[-1] = False
+def _central_mask(two_d_dx: np.ndarray, drift: np.ndarray) -> np.ndarray:
+    """Where the central stencil keeps the row an M-matrix row: 2D/dx >= |b|,
+    never at the end nodes."""
+    central = two_d_dx >= np.abs(drift)
+    central[..., 0] = False
+    central[..., -1] = False
     return central
 
 
-def _gradient(ops: SchemeOperators, phi: np.ndarray,
-              drift: np.ndarray) -> np.ndarray:
-    """Slope field using the same central/upwind stencil as the assembly."""
-    dx = ops.mesh.dx
+def _gradient(ops: SchemeOperators, phi: np.ndarray, stencil) -> np.ndarray:
+    """Slope rows on the stencil (drift, central mask) of the assembly."""
+    drift, central = stencil
+    diffs = (phi[:, 1:] - phi[:, :-1]) / ops.mesh.dx
     fwd = np.empty_like(phi)
     bwd = np.empty_like(phi)
-    diffs = np.diff(phi) / dx
-    fwd[:-1] = diffs
-    fwd[-1] = diffs[-1]
-    bwd[1:] = diffs
-    bwd[0] = diffs[0]
+    fwd[:, :-1] = diffs
+    fwd[:, -1] = diffs[:, -1]
+    bwd[:, 1:] = diffs
+    bwd[:, 0] = diffs[:, 0]
     cen = 0.5 * (fwd + bwd)
-    return np.where(_central_mask(ops, drift), cen,
-                    np.where(drift > 0.0, fwd, bwd))
+    return np.where(central, cen, np.where(drift > 0.0, fwd, bwd))
+
+
+def _spec_label(ops: SchemeOperators, j: int) -> str:
+    return f" of spec {ops.index[j]}" if ops.batch_size > 1 else ""
 
 
 def assemble_system(ops: SchemeOperators, dt: float, controls: ControlField,
-                    phi_next: np.ndarray,
-                    expectations: tuple[np.ndarray, np.ndarray]
-                    ) -> TridiagonalSystem:
-    """One implicit backward-Euler system at fixed controls.
+                    central: np.ndarray, jumps: tuple[np.ndarray, np.ndarray],
+                    rhs_next: np.ndarray) -> TridiagonalSystem:
+    """One implicit backward-Euler system per spec at fixed controls.
 
-    Reads the drift and running-cost rows the controls carry and takes the
+    Reads the drift and running-cost rows the controls carry, the central
+    mask of that drift, and `jumps` = (theta, expectations): theta* and the
     jump expectations (W1 phi, W2 phi) that control extraction computed at
-    the lagged iterate phi, so it evaluates no spec coefficient and no
-    quadrature. Checks every row.
+    the lagged iterate phi, stacked by jump kind. `rhs_next` is phi_next /
+    dt. Evaluates no spec coefficient and no quadrature. Checks every row;
+    a SchemeError names the first spec whose rows fail.
     """
-    spec = ops.spec
     dx = ops.mesh.dx
     drift = controls.drift
-    th1 = controls.theta1_star
-    th2 = controls.theta2_star
+    theta, expectations = jumps
 
-    central = _central_mask(ops, drift)
-    Dxx = ops.diffusion / dx ** 2
-    # full-length rows: row_low[0] and row_up[-1] couple past x = 0 and x = 1
-    # and drop out of the system, but the M-matrix check still bounds them
-    row_low = np.where(central, -(Dxx - drift / (2.0 * dx)),
-                       -Dxx + np.minimum(drift, 0.0) / dx)
-    row_up = np.where(central, -(Dxx + drift / (2.0 * dx)),
-                      -Dxx - np.maximum(drift, 0.0) / dx)
-    row_diag = np.where(central, 2.0 * Dxx, 2.0 * Dxx + np.abs(drift) / dx)
-    diag = 1.0 / dt + spec.nu1 * th1 + spec.nu2 * th2 + row_diag
+    # drift / (2 dx) is half of drift / dx, exactly
+    b_dx = drift / dx
+    half = 0.5 * b_dx
+    # full-length rows: row_low[:, 0] and row_up[:, -1] couple past x = 0
+    # and x = 1 and drop out of the system, but the M-matrix check still
+    # bounds them
+    row_low = np.where(central, -(ops.d_dx2 - half),
+                       ops.neg_d_dx2 + np.minimum(b_dx, 0.0))
+    row_up = np.where(central, -(ops.d_dx2 + half),
+                      ops.neg_d_dx2 - np.maximum(b_dx, 0.0))
+    row_diag = np.where(central, ops.two_d_dx2, ops.two_d_dx2 + np.abs(b_dx))
+    nu_theta = ops.nu * theta
+    diag = 1.0 / dt + nu_theta[0] + nu_theta[1] + row_diag
 
-    slack = 1e-9 * max(float(np.max(diag)), 1.0)
+    slack = 1e-9 * np.maximum(diag.max(axis=1), 1.0)[:, None]
     # written as "not all within bound" so that a NaN entry fails the check
-    if not (np.all(row_low <= slack) and np.all(row_up <= slack)):
-        raise SchemeError("positive off-diagonal entry in assembled system")
-    if not (np.all(diag >= 1.0 / dt - slack)
-            and np.all(diag >= np.abs(row_low) + np.abs(row_up) - slack)):
-        raise SchemeError("assembled system lost diagonal dominance")
+    ok = np.maximum(row_low, row_up) <= slack
+    if not ok.all():
+        raise _scheme_error(ops, ok, "has a positive off-diagonal entry")
+    ok = diag >= np.maximum(np.abs(row_low) + np.abs(row_up), 1.0 / dt) - slack
+    if not ok.all():
+        raise _scheme_error(ops, ok, "lost diagonal dominance")
 
-    w1, w2 = expectations
-    rhs = (phi_next / dt + controls.cost
-           + spec.nu1 * th1 * w1 + spec.nu2 * th2 * w2)
-    return TridiagonalSystem(lower=row_low[1:], diag=diag, upper=row_up[:-1],
-                             rhs=rhs)
+    nu_theta_w = nu_theta * expectations
+    rhs = rhs_next + controls.cost + nu_theta_w[0] + nu_theta_w[1]
+    row_low[:, 0] = 0.0
+    row_up[:, -1] = 0.0
+    return TridiagonalSystem(lower=row_low, diag=diag, upper=row_up, rhs=rhs)
+
+
+def _scheme_error(ops: SchemeOperators, ok: np.ndarray,
+                  what: str) -> SchemeError:
+    """The error for the first spec whose row check `ok` fails somewhere."""
+    j = int(np.flatnonzero(~ok.all(axis=1))[0])
+    return SchemeError(f"the assembled system{_spec_label(ops, j)} {what}",
+                       ops.index[j])
 
 
 def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
-    """Solve the tridiagonal system by pivot-free elimination.
+    """Solve the tridiagonal systems by pivot-free elimination.
 
     Diagonal dominance of the scheme rows makes partial pivoting a no-op, so
     the LAPACK gtsv elimination reduces to the classical forward/backward
-    Thomas sweep.
+    Thomas sweep. The systems, laid end to end with their zero couplings
+    past the ends between them, are one system for one gtsv call, and each
+    solution is bitwise what solving its system alone gives. Should the
+    joint solution not be finite, each system is solved alone, so one that
+    overflows does not spread into the others.
     """
-    n = sys.diag.size
-    if sys.lower.size != n - 1 or sys.upper.size != n - 1 or sys.rhs.size != n:
+    shape = sys.diag.shape
+    if any(part.shape != shape for part in (sys.lower, sys.upper, sys.rhs)):
         raise ValueError("inconsistent tridiagonal system shapes")
-    if n == 1:
-        if sys.diag[0] == 0.0:
+    n = shape[-1]
+    if sys.diag.size == 1:
+        if sys.diag.ravel()[0] == 0.0:
             raise SingularSystemError("zero pivot in 1x1 system")
         return sys.rhs / sys.diag
-    _, _, _, x, info = lapack.dgtsv(sys.lower, sys.diag, sys.upper, sys.rhs)
+    _, _, _, x, info = lapack.dgtsv(sys.lower.ravel()[1:], sys.diag.ravel(),
+                                    sys.upper.ravel()[:-1], sys.rhs.ravel())
     if info > 0:
-        raise SingularSystemError(f"zero pivot at row {info - 1}")
+        system, row = divmod(info - 1, n)
+        raise SingularSystemError(f"zero pivot at row {row} of system {system}")
     if info < 0:
         raise ValueError(f"invalid argument {-info} passed to tridiagonal solve")
+    x = x.reshape(shape)
+    if x.ndim > 1 and len(x) > 1 and not np.isfinite(x).all():
+        x = np.stack([thomas_solve(TridiagonalSystem(
+            sys.lower[j], sys.diag[j], sys.upper[j], sys.rhs[j]))
+            for j in range(len(x))])
     return x
 
 
@@ -285,61 +465,88 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
 # policy iteration and the time march
 # ---------------------------------------------------------------------------
 
-def _extract_controls(ops: SchemeOperators, phi: np.ndarray,
-                      stencil_drift: np.ndarray):
-    """Pointwise optimizers at the current iterate.
+def _extract_controls(ops: SchemeOperators, phi: np.ndarray, stencil):
+    """Pointwise optimizers at the current iterates phi, shape (k, n).
 
-    Returns (controls, expectations) as `assemble_system` takes them; the
-    controls carry their drift and running-cost rows. The jump expectations
-    also give theta*, and the drift also picks the next iterate's slope
-    stencil.
+    `stencil` is the (drift, central mask) pair the slopes are taken on.
+    Returns (controls, jumps, stencil) as `assemble_system` takes them: the
+    controls carry their drift and running-cost rows, jumps = (theta*,
+    expectations) stacked by jump kind, and the new stencil is the controls'
+    drift with its central mask, which assembly and the next iterate share.
     """
-    spec = ops.spec
-    p = _gradient(ops, phi, stencil_drift)
-    lam, _ = lambda_field(spec, ops.a_vals, p)
-    q, _, r_q, h_q = q_field(ops.q_table, ops.a_vals, p)
-    _, delta1, th1 = apply_nonlocal(ops.quad_down, phi, spec.nu1, spec.psi1,
-                                    spec.theta_max)
-    _, delta2, th2 = apply_nonlocal(ops.quad_up, phi, spec.nu2, spec.psi2,
-                                    spec.theta_max)
+    p = _gradient(ops, phi, stencil)
+    lam = lambda_field(ops.lambda_scale, ops.lambda_max, p)
+    q, r_q, h_q = q_field(ops.q_table, ops.a_vals, p)
+    delta, theta = apply_nonlocal(ops.jumps, phi, ops.psi, ops.theta_max)
+    drift = controlled_drift(ops.sigma, ops.base_drift, ops.a_vals, r_q, lam)
     controls = ControlField(
-        q_star=q, lambda_star=lam, theta1_star=th1, theta2_star=th2,
-        drift=controlled_drift(spec, ops.base_drift, ops.a_vals, r_q, lam),
-        cost=running_cost(spec, ops.f_vals, h_q, lam, th1, th2))
-    return controls, (phi - delta1, phi - delta2)
+        q_star=q, lambda_star=lam, theta1_star=theta[0], theta2_star=theta[1],
+        drift=drift,
+        cost=running_cost(ops.psi0, ops.entropy_weight, ops.f_vals, h_q, lam,
+                          theta))
+    return (controls, (theta, phi - delta),
+            (drift, _central_mask(ops.two_d_dx, drift)))
 
 
 def step_backward(ops: SchemeOperators, dt: float, phi_next: np.ndarray,
-                  t: float, policy: PolicyConfig = PolicyConfig()):
-    """One implicit step from the slice phi_next at t + dt down to t.
+                  t: float, policy: PolicyConfig = PolicyConfig(),
+                  counts: np.ndarray | None = None):
+    """One implicit step of each spec, from its slice at t + dt (a row of
+    phi_next, shape (k, n)) down to t.
 
-    Policy iteration alternates control extraction on the current iterate
-    with one tridiagonal solve until the slice stops moving in max norm.
-    Returns (values, controls, n_iterations). A non-finite change stops the
-    iteration at once; t only names the step in the error.
+    Policy iteration alternates control extraction on the current iterates
+    with one tridiagonal solve of all the systems until each slice stops
+    moving in max norm; a spec whose slice has stopped leaves the iteration,
+    so its slice is what stepping it alone gives. A non-finite change stops
+    the iteration at once; t only names the step in the error, and the error
+    names the spec. Returns (values, stencil, iterations): the slices at t,
+    each spec's last (drift, central mask), which is the slope stencil of an
+    extraction at these slices, and the iterations the step ran (the most
+    any spec took). `counts`, if given, receives each spec's own.
     """
-    phi = phi_next
-    drift = ops.first_drift     # first slope stencil: the uncontrolled drift
-
-    change, iteration = np.inf, 0
+    rhs_next = phi_next / dt
+    phi, stencil, sub = phi_next, ops.first_stencil, ops
+    rows = values = None    # set once a spec leaves before the others
     for iteration in range(1, policy.max_iter + 1):
-        controls, w = _extract_controls(ops, phi, drift)
-        drift = controls.drift
-        sys = assemble_system(ops, dt, controls, phi_next, w)
-        phi_new = thomas_solve(sys)
-        change = float(np.max(np.abs(phi_new - phi)))
-        phi = phi_new
-        if change <= policy.tol or not math.isfinite(change):
+        controls, jumps, stencil = _extract_controls(sub, phi, stencil)
+        phi_new = thomas_solve(assemble_system(sub, dt, controls, stencil[1],
+                                               jumps, rhs_next))
+        change = np.abs(phi_new - phi).max(axis=1)
+        settled = change <= policy.tol
+        if settled.all():
             break
-    if not change <= policy.tol:
-        raise PolicyIterationError(
-            f"policy iteration stalled at t={t:.6g} "
-            f"(residual {change:.3e} after {iteration} iterations)",
-            residual=change, time_label=t)
-
-    # re-extract so the reported controls are consistent with the converged slice
-    controls = _extract_controls(ops, phi, drift)[0]
-    return phi, controls, iteration
+        # written as "not within bound" so that a NaN change stops at once
+        if iteration == policy.max_iter or not change.max() < np.inf:
+            finite = change < np.inf
+            j = np.flatnonzero(~settled if finite.all() else ~finite)[0]
+            raise PolicyIterationError(
+                f"policy iteration{_spec_label(sub, j)} stalled at t={t:.6g} "
+                f"(residual {change[j]:.3e} after {iteration} iterations)",
+                residual=float(change[j]), time_label=t,
+                spec_index=sub.index[j])
+        if settled.any():
+            if rows is None:
+                rows = np.arange(len(ops.specs))
+                values = np.empty_like(phi_next)
+                drift, central = np.empty_like(phi_next), np.empty(
+                    phi_next.shape, dtype=bool)
+            done, keep = rows[settled], ~settled
+            values[done] = phi_new[settled]
+            drift[done], central[done] = stencil[0][settled], stencil[1][settled]
+            if counts is not None:
+                counts[done] = iteration
+            rows = rows[keep]
+            sub = ops.subset(rows)
+            phi_new, rhs_next = phi_new[keep], rhs_next[keep]
+            stencil = (stencil[0][keep], stencil[1][keep])
+        phi = phi_new
+    if counts is not None:
+        counts[slice(None) if rows is None else rows] = iteration
+    if rows is None:
+        return phi_new, stencil, iteration
+    values[rows] = phi_new
+    drift[rows], central[rows] = stencil
+    return values, (drift, central), iteration
 
 
 def ergodic_estimate(earlier: np.ndarray, later: np.ndarray,
@@ -364,33 +571,61 @@ def switching_points(q_field_values: np.ndarray, mesh: Mesh,
             for i, j in zip(starts, stops)]
 
 
-def solve_backward(spec: ProblemSpec, mesh: Mesh, time_grid: TimeGrid,
-                   policy: PolicyConfig = PolicyConfig(),
-                   snapshot_times: tuple[float, ...] = (),
-                   n_quad: int = N_QUAD,
-                   record_controls: bool = False,
-                   validate: bool = True) -> SolveResult:
-    """March the terminal condition Phi(T, .) = 0 back to t = 0.
+def _control_row(c: ControlField, j: int) -> ControlField:
+    """Spec j's controls out of a batch's (k, n) rows."""
+    return ControlField(c.q_star[j], c.lambda_star[j], c.theta1_star[j],
+                        c.theta2_star[j], c.drift[j], c.cost[j])
 
-    T is `spec.horizon`, and `time_grid` must end there. After each step the
-    last two slices give the ergodic estimate of the effective Hamiltonian E.
-    Once its per-node spread has settled (see ERGODIC_EXIT_SPREAD) at a level
-    m* > 0, the march stops there: every level m < m* is Phi(m*) + E (m* - m)
-    dt, holds the controls of step m*, and `final_controls` are those of step
-    m*. The ergodic report always comes from the last two marched slices.
-    `record_controls` keeps the control fields of every level (memory scales
-    with n_steps; intended for short horizons, e.g. the Monte Carlo
-    cross-check). `validate=False` admits deliberately degenerate
-    configurations (such as zero growth everywhere) used as analytic checks.
+
+@dataclass
+class _March:
+    """The state of one spec's march."""
+
+    iterations: np.ndarray
+    snapshots: list[Snapshot]
+    recorded: list[ControlField] = field(default_factory=list)
+    settled_steps: int = 0
+    ergodic: ErgodicReport | None = None
+
+
+def solve_many(specs, mesh: Mesh, time_grid: TimeGrid,
+               policy: PolicyConfig = PolicyConfig(),
+               snapshot_times: tuple[float, ...] = (),
+               n_quad: int = N_QUAD,
+               record_controls: bool = False,
+               validate: bool = True) -> list[SolveResult]:
+    """March the terminal condition Phi(T, .) = 0 of every spec back to t = 0,
+    as one batch in this process.
+
+    T is each spec's `horizon`, and `time_grid` must end there. The specs
+    share the mesh, the time grid and both jump quadratures, so their jump
+    densities must be equal (see `build_scheme`). After each step the last
+    two slices of a spec give its ergodic estimate of the effective
+    Hamiltonian E. Once its per-node spread has settled (see
+    ERGODIC_EXIT_SPREAD) at a level m* > 0, the spec's march stops there and
+    it leaves the batch: every level m < m* is Phi(m*) + E (m* - m) dt, holds
+    the controls of step m*, and `final_controls` are those of step m*. The
+    ergodic report always comes from the last two marched slices. Each
+    result is bitwise what solving its spec alone gives. `record_controls`
+    keeps the control fields of every level (memory scales with n_steps;
+    intended for short horizons, e.g. the Monte Carlo cross-check).
+    `validate=False` admits deliberately degenerate configurations (such as
+    zero growth everywhere) used as analytic checks. A failure names the
+    spec by its index in `specs` (`spec_index` of the error).
     """
-    if validate:
-        violations = validate_spec(spec)
+    specs = tuple(specs)
+    if not specs:
+        return []
+    for i, spec in enumerate(specs):
+        which = f" {i}" if len(specs) > 1 else ""
+        violations = validate_spec(spec) if validate else []
         if violations:
-            raise ValueError("invalid problem spec:\n" + "\n".join(violations))
-    if not time_grid.ends_at(spec.horizon):
-        raise ValueError(f"time grid horizon {time_grid.horizon} differs from "
-                         f"the spec horizon {spec.horizon}")
-    ops = build_scheme(spec, mesh, n_quad=n_quad)
+            raise ValueError(f"invalid problem spec{which}:\n"
+                             + "\n".join(violations))
+        if not time_grid.ends_at(spec.horizon):
+            raise ValueError(f"time grid horizon {time_grid.horizon} differs "
+                             f"from the horizon {spec.horizon} of spec{which}")
+    ops = build_scheme(specs, mesh, n_quad=n_quad)
     dt = time_grid.dt
     n_steps = time_grid.n_steps
 
@@ -398,62 +633,89 @@ def solve_backward(spec: ProblemSpec, mesh: Mesh, time_grid: TimeGrid,
     for t in snapshot_times:
         snap_levels.setdefault(time_grid.level(t), float(t))
 
-    phi = np.zeros(mesh.n_nodes)
-    snapshots: list[Snapshot] = []
-    if n_steps in snap_levels:
-        snapshots.append(Snapshot(time=snap_levels[n_steps], values=phi))
-    iteration_counts = np.zeros(n_steps, dtype=int)
-    recorded: list[ControlField] = []
-    settled_steps = 0
+    phi = np.zeros((len(specs), mesh.n_nodes))
+    marches = [_March(iterations=np.zeros(n_steps, dtype=int),
+                      snapshots=[Snapshot(time=snap_levels[n_steps],
+                                          values=row)]
+                      if n_steps in snap_levels else [])
+               for row in phi]
+    results: list[SolveResult | None] = [None] * len(specs)
+    active = np.arange(len(specs))      # the specs still marching
+    sub = ops
     for m in range(n_steps - 1, -1, -1):
         previous = phi
-        phi, controls, iters = step_backward(ops, dt, phi, m * dt, policy)
-        iteration_counts[m] = iters
-        if record_controls:
-            recorded.append(controls)
-        if m in snap_levels:
-            snapshots.append(Snapshot(time=snap_levels[m], values=phi))
-        ergodic = ergodic_estimate(phi, previous, dt)
-        bound = ERGODIC_EXIT_SPREAD * max(1.0, abs(ergodic.E_mean))
-        # written as "within bound" so that a NaN spread never exits
-        settled_steps = settled_steps + 1 if ergodic.E_spread <= bound else 0
-        if settled_steps >= ERGODIC_EXIT_STEPS:
+        counts = np.zeros(len(active), dtype=int)
+        phi, stencil, _ = step_backward(sub, dt, phi, m * dt, policy, counts)
+        level = (_extract_controls(sub, phi, stencil)[0]
+                 if record_controls else None)
+        exiting = []
+        for j, i in enumerate(active):
+            march = marches[i]
+            march.iterations[m] = counts[j]
+            if record_controls:
+                march.recorded.append(_control_row(level, j))
+            if m in snap_levels:
+                march.snapshots.append(Snapshot(time=snap_levels[m],
+                                                values=phi[j]))
+            march.ergodic = ergodic_estimate(phi[j], previous[j], dt)
+            bound = ERGODIC_EXIT_SPREAD * max(1.0, abs(march.ergodic.E_mean))
+            # written as "within bound" so that a NaN spread never exits
+            march.settled_steps = (march.settled_steps + 1
+                                   if march.ergodic.E_spread <= bound else 0)
+            if march.settled_steps >= ERGODIC_EXIT_STEPS or m == 0:
+                exiting.append(j)
+        if not exiting:
+            continue
+        if not record_controls:
+            level = _extract_controls(
+                ops.subset(active[exiting]), phi[exiting],
+                (stencil[0][exiting], stencil[1][exiting]))[0]
+        for n_exited, j in enumerate(exiting):
+            i = active[j]
+            controls = (marches[i].recorded[-1] if record_controls
+                        else _control_row(level, n_exited))
+            results[i] = _finish(marches[i], phi[j], controls, m, time_grid,
+                                 mesh, snap_levels, record_controls)
+        keep = np.ones(len(active), dtype=bool)
+        keep[exiting] = False
+        if not keep.any():
             break
-    m_exit = m
+        active, phi = active[keep], phi[keep]
+        sub = ops.subset(active)
+    return results
+
+
+def _finish(march: _March, phi: np.ndarray, controls: ControlField,
+            m_exit: int, time_grid: TimeGrid, mesh: Mesh, snap_levels: dict,
+            record_controls: bool) -> SolveResult:
+    """The result of a spec whose march stopped at level m_exit."""
+    dt = time_grid.dt
+    ergodic = march.ergodic
 
     def unmarched(level: int) -> np.ndarray:
         return phi + ergodic.E_mean * (m_exit - level) * dt
 
-    snapshots += [Snapshot(time=t, values=unmarched(level))
-                  for level, t in snap_levels.items() if level < m_exit]
-    final_value = unmarched(0) if m_exit else phi
-    table = (ControlTable(time_grid=time_grid, mesh=mesh,
-                          levels=[controls] * m_exit + recorded[::-1])
-             if record_controls else None)
+    snapshots = march.snapshots + [
+        Snapshot(time=t, values=unmarched(level))
+        for level, t in snap_levels.items() if level < m_exit]
     snapshots.sort(key=lambda s: s.time)
-    return SolveResult(final_value=final_value, final_controls=controls,
-                       ergodic=ergodic,
-                       iteration_stats=iteration_counts[m_exit:],
+    table = (ControlTable(time_grid=time_grid, mesh=mesh,
+                          levels=[controls] * m_exit + march.recorded[::-1])
+             if record_controls else None)
+    return SolveResult(final_value=unmarched(0) if m_exit else phi,
+                       final_controls=controls, ergodic=ergodic,
+                       iteration_stats=march.iterations[m_exit:],
                        snapshots=snapshots, exit_time=m_exit * dt,
                        control_table=table)
 
 
-# ---------------------------------------------------------------------------
-# concurrent parameter sweeps
-# ---------------------------------------------------------------------------
-
-def _solve_job(args) -> SolveResult:
-    spec, mesh, time_grid, policy, n_quad = args
-    return solve_backward(spec, mesh, time_grid, policy=policy, n_quad=n_quad)
-
-
-def solve_many(specs, mesh: Mesh, time_grid: TimeGrid,
-               policy: PolicyConfig = PolicyConfig(),
-               n_quad: int = N_QUAD, workers: int = 1) -> list[SolveResult]:
-    """Independent solves, optionally dispatched over a process pool."""
-    jobs = [(spec, mesh, time_grid, policy, n_quad) for spec in specs]
-    if workers <= 1 or len(jobs) <= 1:
-        return [_solve_job(job) for job in jobs]
-    with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(workers, len(jobs))) as pool:
-        return list(pool.map(_solve_job, jobs))
+def solve_backward(spec: ProblemSpec, mesh: Mesh, time_grid: TimeGrid,
+                   policy: PolicyConfig = PolicyConfig(),
+                   snapshot_times: tuple[float, ...] = (),
+                   n_quad: int = N_QUAD,
+                   record_controls: bool = False,
+                   validate: bool = True) -> SolveResult:
+    """One spec's solve: `solve_many` on the batch of one."""
+    return solve_many([spec], mesh, time_grid, policy=policy,
+                      snapshot_times=snapshot_times, n_quad=n_quad,
+                      record_controls=record_controls, validate=validate)[0]

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 import robpop as rp
-from robpop.solver import controlled_drift, running_cost
+from robpop.jump_ops import apply_nonlocal
+from robpop.local_ops import lambda_field, q_field
+from robpop.solver import (_central_mask, assemble_system, controlled_drift,
+                           running_cost)
 
 BENCH_N_CELLS = 500
 BENCH_DT = 0.005
@@ -49,17 +52,23 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def entropy_weight(spec):
+    """(nu1/psi1, nu2/psi2) as a column against stacked (theta1, theta2)."""
+    return np.asarray([[spec.nu1 / spec.psi1], [spec.nu2 / spec.psi2]])
+
+
 def controls_at(ops, q, lam, th1, th2):
     """A ControlField at the given controls, its drift and running-cost rows
     evaluated from the spec's own coefficients at the nodes."""
-    spec = ops.spec
+    spec = ops.specs[0]
     x = ops.mesh.nodes
     base_drift = spec.gamma1 - (spec.gamma0 + spec.gamma1) * x
-    drift = controlled_drift(spec, base_drift,
+    drift = controlled_drift(spec.sigma, base_drift,
                              np.asarray(spec.growth_a(x), dtype=float),
                              spec.growth_rate_r(q), lam)
-    cost = running_cost(spec, np.asarray(spec.disutility_f(x), dtype=float),
-                        spec.cost_h(q), lam, th1, th2)
+    cost = running_cost(spec.psi0, entropy_weight(spec),
+                        np.asarray(spec.disutility_f(x), dtype=float),
+                        spec.cost_h(q), lam, np.stack((th1, th2)))
     return rp.ControlField(q_star=q, lambda_star=lam, theta1_star=th1,
                            theta2_star=th2, drift=drift, cost=cost)
 
@@ -67,8 +76,49 @@ def controls_at(ops, q, lam, th1, th2):
 def reference_handoff(ops, controls, phi):
     """What assembly takes at the controls and lagged iterate phi, evaluated
     from the spec's coefficients and the quadrature matrices: the controls
-    with their drift and running-cost rows, and the jump expectations
-    (W1 phi, W2 phi)."""
+    with their drift and running-cost rows, and the jumps (theta*, (W1 phi,
+    W2 phi)), stacked by jump kind."""
     return (controls_at(ops, controls.q_star, controls.lambda_star,
                         controls.theta1_star, controls.theta2_star),
-            (ops.quad_down.weights @ phi, ops.quad_up.weights @ phi))
+            (np.stack((controls.theta1_star, controls.theta2_star)),
+             np.stack((ops.quad_down.weights @ phi, ops.quad_up.weights @ phi))))
+
+
+def assemble_at(ops, dt, controls, phi_next, phi_lagged):
+    """The system `assemble_system` builds for a batch of one spec at the
+    controls and the lagged iterate, from what `reference_handoff`
+    evaluates; node rows in and out are 1-D."""
+    reference, (theta, expectations) = reference_handoff(ops, controls,
+                                                         phi_lagged)
+    batch = rp.ControlField(*(row[None] for row in vars(reference).values()))
+    sys = assemble_system(ops, dt, batch,
+                          _central_mask(ops.two_d_dx, batch.drift),
+                          (theta[:, None], expectations[:, None]),
+                          phi_next[None] / dt)
+    return rp.TridiagonalSystem(*(row[0] for row in vars(sys).values()))
+
+
+# The objective values the optimizers attain, which the step never reads:
+# the closed forms are checked against brute force through these.
+
+def lambda_at(spec, a, p):
+    """lambda_field at the spec's scalars, and the objective value
+    -sigma lambda a p + lambda^2 / (2 psi0) it attains."""
+    lam = lambda_field(spec.psi0 * spec.sigma * a, spec.lambda_max, p)
+    return lam, -spec.sigma * lam * a * p + lam ** 2 / (2.0 * spec.psi0)
+
+
+def q_at(table, a, p):
+    """q_field's (q*, r(q*), h(q*)) and the objective -r(q*) a p - h(q*)
+    it attains, as (q*, value, r(q*), h(q*))."""
+    q, r, h = q_field(table, a, p)
+    return q, -r * (a * p) - h, r, h
+
+
+def nonlocal_at(quad, phi, nu, psi, theta_max):
+    """apply_nonlocal on one quadrature and one field, with the distorted
+    operator value (nu/psi)(1 - exp(-psi delta)) it attains, as (values,
+    delta, theta*)."""
+    delta, theta = apply_nonlocal(quad, phi, psi, theta_max)
+    delta, theta = delta[0], theta[0]
+    return (nu / psi) * (-np.expm1(-psi * delta)), delta, theta

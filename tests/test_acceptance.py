@@ -14,9 +14,9 @@ from scipy.special import xlogy
 
 import robpop as rp
 from robpop.model import tabulated, zero_rate
-from robpop.solver import assemble_system, build_scheme, solve_many
+from robpop.solver import build_scheme, solve_many
 
-from conftest import BENCH_DT, BENCH_N_CELLS, reference_handoff
+from conftest import BENCH_DT, BENCH_N_CELLS, assemble_at, nonlocal_at
 
 F_MAX = 1.0  # max of the tent disutility
 HORIZON = 50.0
@@ -77,8 +77,7 @@ def test_criterion_04_monotone_in_ambiguity(bench_mesh, bench_time_grid,
     base = rp.make_paper_spec(False)
     specs = [replace(base, psi0=0.25), replace(base, psi0=1.0),
              replace(base, psi1=0.25, psi2=0.25), replace(base, psi1=1.0, psi2=1.0)]
-    lo0, hi0, lo_j, hi_j = solve_many(specs, bench_mesh, bench_time_grid,
-                                      workers=2)
+    lo0, hi0, lo_j, hi_j = solve_many(specs, bench_mesh, bench_time_grid)
     mid = bench_solve_uncontrolled
     checks = []
     for axis, lo, hi in (("psi0", lo0, hi0), ("psi", lo_j, hi_j)):
@@ -145,8 +144,8 @@ def test_criterion_08_closed_form_vs_brute_force():
         phi = rng.uniform(0.0, 1.0, mesh.n_nodes)
         for quad in quads:
             for nu, psi in ((1.0, 0.5), (0.5, 1.0), (2.0, 0.5)):
-                values, delta, _ = rp.apply_nonlocal(quad, phi, nu, psi,
-                                                     theta_max=100.0)
+                values, delta, _ = nonlocal_at(quad, phi, nu, psi,
+                                               theta_max=100.0)
                 brute = (nu * theta_grid[:, None] * delta[None, :]
                          + (nu / psi) * penalty[:, None]).min(axis=0)
                 worst = max(worst, float(np.max(np.abs(values - brute))))
@@ -168,11 +167,8 @@ def test_criterion_09_scheme_structure(bench_mesh, bench_solve_uncontrolled,
     # M-matrix structure (a violation raises); re-check one system explicitly
     phi = bench_solve_controlled.final_value
     ctrl = bench_solve_controlled.final_controls
-    reference, w = reference_handoff(ops, ctrl, phi)
-    sys = assemble_system(ops, BENCH_DT, reference, phi, w)
-    off = np.zeros_like(sys.diag)
-    off[1:] += np.abs(sys.lower)
-    off[:-1] += np.abs(sys.upper)
+    sys = assemble_at(ops, BENCH_DT, ctrl, phi, phi)
+    off = np.abs(sys.lower) + np.abs(sys.upper)
     m_ok = (np.all(sys.lower <= 0.0) and np.all(sys.upper <= 0.0)
             and np.all(sys.diag >= 1.0 / BENCH_DT - 1e-9)
             and np.all(sys.diag >= off - 1e-9))

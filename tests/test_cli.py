@@ -147,16 +147,27 @@ def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
         code, _ = run_cli(tmp_path, MC_TINY + "; mc.n_paths = 200")
         metrics = layers.layer_metrics(tracer.collect())
         assert tracer.missing == []
+        tracer.reset()
+        sweep_code, out = run_cli(tmp_path, TINY + "; command = 'sweep'; "
+                                  "sweep.param = 'psi0'; "
+                                  "sweep.values = [0.25, 1.0]", name="sweep")
+        sweep = layers.layer_metrics(tracer.collect())
+        assert tracer.missing == []
     finally:
         tracer.uninstall()
     assert code == 0
     assert set(layers.METRIC_COUNTERS) <= set(metrics)
     # one assembly per policy iteration, one extraction per iteration plus
-    # the re-extraction that reports each step's controls
+    # the re-extraction that records each step's controls
     iters = metrics["solver.tridiag_calls"]
     assert metrics["solver.assemble_calls"] == iters
     assert (metrics["local_ops.lambda_calls"] == metrics["local_ops.q_calls"]
             == iters + metrics["solver.steps_marched"])
+    # the sweep marches its specs as one batch: one assembly and one solve
+    # per policy iteration of the batch, whichever specs it holds
+    assert sweep_code == 0
+    assert len((out / "sweep.csv").read_text().splitlines()) == 4
+    assert sweep["solver.assemble_calls"] == sweep["solver.tridiag_calls"] > 0
 
 
 def test_build_spec_from_tables():
@@ -511,12 +522,24 @@ def test_sweep_omega1_uses_each_swept_q_max(tmp_path):
 
 
 def test_sweep_runs_without_sched_getaffinity(tmp_path, monkeypatch):
-    # macOS and Windows have no os.sched_getaffinity
+    # macOS and Windows have no os.sched_getaffinity; a sweep reads no core
+    # count, so it runs the same there
     monkeypatch.delattr(os, "sched_getaffinity")
     code, out = run_cli(tmp_path, TINY + "; command = 'sweep'; "
                         "sweep.param = 'psi0'; sweep.values = [0.25, 1.0]")
     assert code == 0
     assert len((out / "sweep.csv").read_text().splitlines()) == 4
+
+
+def test_sweep_failure_names_the_swept_value(tmp_path, capsys):
+    text = (TINY + "; command = 'sweep'; sweep.param = 'psi0'; "
+            "sweep.values = [1.0, 0.25]; solver.max_iter = 1; "
+            "solver.tol = 1e-30")
+    code, _ = run_cli(tmp_path, text)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "solver failure at psi0 = 0.25:" in err
+    assert "policy iteration of spec 0 stalled" in err
 
 
 def test_sweep_joint_psi_axis(tmp_path):

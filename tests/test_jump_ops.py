@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from scipy.special import xlogy
 
 from robpop.grid import build_mesh
-from robpop.jump_ops import (JumpQuadrature, apply_expectation, apply_nonlocal,
+from robpop.jump_ops import (JumpQuadrature, apply_nonlocal, block_quadrature,
                              build_jump_quadrature, entropy_penalty)
 from robpop.model import tabulated_density, uniform_density
+
+from conftest import nonlocal_at
 
 
 def brute_force_distorted_jump(delta, nu, psi, theta_grid):
@@ -43,7 +45,7 @@ def test_down_expectation_matches_analytic_integral(mesh):
     # int (1-z) dz / 0.2 over [0.2, 0.4] = 0.7 for phi(x) = x at x = 1
     quad = build_jump_quadrature(mesh, uniform_density(0.2, 0.4), "down",
                                  n_quad=64)
-    result = apply_expectation(quad, mesh.nodes.copy())
+    result = quad.weights @ mesh.nodes
     assert result[-1] == pytest.approx(0.7, abs=2e-3)
 
 
@@ -51,20 +53,20 @@ def test_up_expectation_matches_analytic_integral(mesh):
     # int z dz / 0.2 over [0.2, 0.4] = 0.3 for phi(x) = x at x = 0
     quad = build_jump_quadrature(mesh, uniform_density(0.2, 0.4), "up",
                                  n_quad=64)
-    result = apply_expectation(quad, mesh.nodes.copy())
+    result = quad.weights @ mesh.nodes
     assert result[0] == pytest.approx(0.3, abs=2e-3)
 
 
 def test_constant_field_passes_through(mesh):
     quad = build_jump_quadrature(mesh, uniform_density(0.1, 0.9), "down")
-    out = apply_expectation(quad, np.full(mesh.n_nodes, 3.25))
+    out = quad.weights @ np.full(mesh.n_nodes, 3.25)
     np.testing.assert_allclose(out, 3.25, atol=1e-12)
 
 
 def test_expectation_rejects_mismatched_field(mesh):
     quad = build_jump_quadrature(mesh, uniform_density(0.1, 0.9), "down")
     with pytest.raises(ValueError):
-        apply_expectation(quad, np.zeros(7))
+        apply_nonlocal(quad, np.zeros(7), psi=0.5, theta_max=100.0)
 
 
 def test_build_rejects_bad_arguments(mesh):
@@ -76,7 +78,7 @@ def test_build_rejects_bad_arguments(mesh):
 
 def test_nonlocal_constant_field(mesh):
     quad = build_jump_quadrature(mesh, uniform_density(0.1, 0.9), "down")
-    values, delta, theta = apply_nonlocal(quad, np.full(mesh.n_nodes, 2.0),
+    values, delta, theta = nonlocal_at(quad, np.full(mesh.n_nodes, 2.0),
                                           nu=1.0, psi=0.5, theta_max=100.0)
     np.testing.assert_allclose(delta, 0.0, atol=1e-12)
     np.testing.assert_allclose(values, 0.0, atol=1e-12)
@@ -88,7 +90,7 @@ def test_nonlocal_closed_form_hand_value(mesh):
     # delta = 0.3, value = 2(1 - exp(-0.15)), theta* = exp(-0.15)
     quad = build_jump_quadrature(mesh, uniform_density(0.2, 0.4), "down",
                                  n_quad=64)
-    values, delta, theta = apply_nonlocal(quad, mesh.nodes.copy(), nu=1.0,
+    values, delta, theta = nonlocal_at(quad, mesh.nodes.copy(), nu=1.0,
                                           psi=0.5, theta_max=100.0)
     assert delta[-1] == pytest.approx(0.3, abs=2e-3)
     assert values[-1] == pytest.approx(0.2785840471498844, abs=2e-3)
@@ -102,7 +104,7 @@ def test_theta_star_half_at_two_log_two():
                                                  [0.5, 0.5, 0.0],
                                                  [0.0, 1.0, 0.0]]))
     phi = np.asarray([0.0, 0.0, 2.0 * np.log(2.0)])
-    _, delta, theta = apply_nonlocal(quad, phi, nu=1.0, psi=0.5,
+    _, delta, theta = nonlocal_at(quad, phi, nu=1.0, psi=0.5,
                                      theta_max=100.0)
     assert delta[-1] == pytest.approx(2.0 * np.log(2.0), abs=1e-12)
     assert theta[-1] == pytest.approx(0.5, abs=1e-12)
@@ -111,15 +113,29 @@ def test_theta_star_half_at_two_log_two():
 def test_theta_star_clamped_to_theta_max(mesh):
     quad = build_jump_quadrature(mesh, uniform_density(0.2, 0.4), "down")
     phi = -50.0 * mesh.nodes  # strongly negative delta, exp(-psi delta) huge
-    _, _, theta = apply_nonlocal(quad, phi, nu=1.0, psi=0.5, theta_max=3.0)
+    _, _, theta = nonlocal_at(quad, phi, nu=1.0, psi=0.5, theta_max=3.0)
     assert theta.max() <= 3.0
 
 
 def test_nonlocal_rejects_bad_psi(mesh):
     quad = build_jump_quadrature(mesh, uniform_density(0.2, 0.4), "down")
     with pytest.raises(ValueError):
-        apply_nonlocal(quad, np.zeros(mesh.n_nodes), nu=1.0, psi=0.0,
+        apply_nonlocal(quad, np.zeros(mesh.n_nodes), psi=0.0,
                        theta_max=100.0)
+
+
+def test_block_quadrature_is_each_quadrature_on_each_field(mesh):
+    # rows of W are not sorted by column; the block keeps their order, so
+    # every expectation is bitwise its own quadrature's
+    quads = [build_jump_quadrature(mesh, uniform_density(0.1, 0.9), kind)
+             for kind in ("down", "up")]
+    assert not quads[0].weights.has_sorted_indices
+    phi = np.random.default_rng(5).uniform(0.0, 3.0, (3, mesh.n_nodes))
+    block = block_quadrature(quads, 3)
+    out = (block.weights @ phi.ravel()).reshape(2, 3, mesh.n_nodes)
+    for kind, quad in enumerate(quads):
+        for j in range(3):
+            assert np.array_equal(out[kind, j], quad.weights @ phi[j])
 
 
 @settings(max_examples=40, deadline=None)
@@ -149,7 +165,7 @@ def test_constants_pass_through_random_densities(n_cells, n_quad, kind, knots,
                                      n_quad=n_quad)
     except ValueError:
         reject()        # no mass, or none of it at the quadrature points
-    out = apply_expectation(quad, np.full(quad.n_nodes, c))
+    out = quad.weights @ np.full(quad.weights.shape[1], c)
     np.testing.assert_allclose(out, c, rtol=0.0, atol=1e-12 * max(1.0, abs(c)))
 
 
@@ -159,8 +175,8 @@ def test_nonlocal_invariant_under_constant_shift(shift, seed):
     mesh = build_mesh(50)
     quad = build_jump_quadrature(mesh, uniform_density(0.1, 0.9), "up")
     phi = np.random.default_rng(seed).uniform(0.0, 5.0, mesh.n_nodes)
-    base = apply_nonlocal(quad, phi, nu=1.0, psi=0.5, theta_max=100.0)
-    moved = apply_nonlocal(quad, phi + shift, nu=1.0, psi=0.5, theta_max=100.0)
+    base = nonlocal_at(quad, phi, nu=1.0, psi=0.5, theta_max=100.0)
+    moved = nonlocal_at(quad, phi + shift, nu=1.0, psi=0.5, theta_max=100.0)
     for a, b in zip(base, moved):
         np.testing.assert_allclose(a, b, atol=1e-9)
 
@@ -171,7 +187,7 @@ def test_values_stay_below_asymptote(mesh):
     for _ in range(10):
         phi = rng.uniform(-3.0, 3.0, mesh.n_nodes)
         for nu, psi in ((1.0, 0.5), (2.0, 1.5)):
-            values, _, _ = apply_nonlocal(quad, phi, nu, psi, theta_max=1e6)
+            values, _, _ = nonlocal_at(quad, phi, nu, psi, theta_max=1e6)
             assert values.max() < nu / psi
 
 
@@ -183,7 +199,7 @@ def test_closed_form_matches_brute_force_minimization(mesh):
     phi = rng.uniform(0.0, 1.0, mesh.n_nodes)
     for quad in (quad_down, quad_up):
         for nu, psi in ((1.0, 0.5), (0.5, 1.0), (2.0, 0.5)):
-            values, delta, _ = apply_nonlocal(quad, phi, nu, psi,
+            values, delta, _ = nonlocal_at(quad, phi, nu, psi,
                                               theta_max=100.0)
             brute = brute_force_distorted_jump(delta, nu, psi, theta_grid)
             np.testing.assert_allclose(values, brute, atol=1e-6)
@@ -196,8 +212,8 @@ def test_operator_vanishes_at_fixed_points():
     quad_down = build_jump_quadrature(mesh, uniform_density(0.1, 0.9), "down")
     quad_up = build_jump_quadrature(mesh, uniform_density(0.1, 0.9), "up")
     phi = np.sin(3.0 * mesh.nodes) + 2.0
-    down_vals, _, _ = apply_nonlocal(quad_down, phi, 1.0, 0.5, 100.0)
-    up_vals, _, _ = apply_nonlocal(quad_up, phi, 1.0, 0.5, 100.0)
+    down_vals, _, _ = nonlocal_at(quad_down, phi, 1.0, 0.5, 100.0)
+    up_vals, _, _ = nonlocal_at(quad_up, phi, 1.0, 0.5, 100.0)
     assert down_vals[0] == pytest.approx(0.0, abs=1e-12)
     assert up_vals[-1] == pytest.approx(0.0, abs=1e-12)
 

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robpop.local_ops import lambda_field, q_candidates, q_field
+from robpop.local_ops import q_candidates
 from robpop.model import make_paper_spec, tabulated
 from dataclasses import replace
+
+from conftest import lambda_at, q_at
 
 
 def at(spec, x, p):
@@ -24,33 +26,33 @@ def controlled():
 
 
 def test_lambda_zero_slope(spec):
-    lam, value = lambda_field(spec, *at(spec, 0.3, 0.0))
+    lam, value = lambda_at(spec, *at(spec, 0.3, 0.0))
     assert (lam[0], value[0]) == (0.0, 0.0)
 
 
 def test_lambda_vanishes_at_boundaries(spec):
     a, p = spec.growth_a(np.asarray([0.0, 1.0])), np.full(2, 7.3)
-    lam, value = lambda_field(spec, a, p)
+    lam, value = lambda_at(spec, a, p)
     assert lam.tolist() == [0.0, 0.0] and value.tolist() == [0.0, 0.0]
 
 
 def test_lambda_hand_example(spec):
     # a(0.5) = 0.25, p = 2: lambda* = 0.5*1*0.25*2, value = -psi0 sigma^2 a^2 p^2 / 2
-    lam, value = lambda_field(spec, *at(spec, 0.5, 2.0))
+    lam, value = lambda_at(spec, *at(spec, 0.5, 2.0))
     assert lam[0] == pytest.approx(0.25, abs=1e-12)
     assert value[0] == pytest.approx(-0.0625, abs=1e-12)
 
 
 def test_lambda_clamps_to_bound(spec):
     tight = replace(spec, lambda_max=0.1)
-    lam, value = lambda_field(tight, *at(tight, 0.5, 50.0))
+    lam, value = lambda_at(tight, *at(tight, 0.5, 50.0))
     assert lam[0] == 0.1
     # clamped objective value, not the unconstrained parabola minimum
     assert value[0] == pytest.approx(-1.0 * 0.1 * 0.25 * 50.0 + 0.01 / 1.0)
 
 
 def test_q_degenerate_objective_prefers_no_intervention(spec):
-    q, value, _, _ = q_field(q_candidates(spec), *at(spec, 0.5, 0.0))
+    q, value, _, _ = q_at(q_candidates(spec), *at(spec, 0.5, 0.0))
     assert q[0] == 0.0
     assert value[0] == 0.0
 
@@ -58,7 +60,7 @@ def test_q_degenerate_objective_prefers_no_intervention(spec):
 def test_q_hand_examples(controlled):
     table = q_candidates(controlled)
     a, p = controlled.growth_a(np.full(2, 0.5)), np.asarray([2.0, -2.0])
-    q, value, _, _ = q_field(table, a, p)
+    q, value, _, _ = q_at(table, a, p)
     # p = 2, enumerate endpoints: q=0 gives -0.5, q=1 gives -0.1
     assert (q[0], value[0]) == (1.0, pytest.approx(-0.1))
     # p = -2: q=0 gives +0.5, q=1 gives -0.1
@@ -70,16 +72,16 @@ def test_q_hand_examples(controlled):
 
 def test_hamiltonian_uncontrolled_center(spec):
     a, p = at(spec, 0.5, 0.0)
-    _, q_value, _, _ = q_field(q_candidates(spec), a, p)
-    _, lam_value = lambda_field(spec, a, p)
+    _, q_value, _, _ = q_at(q_candidates(spec), a, p)
+    _, lam_value = lambda_at(spec, a, p)
     value = float(spec.disutility_f(0.5)) - q_value[0] - lam_value[0]
     assert value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_hamiltonian_hand_example(controlled):
     a, p = at(controlled, 0.5, 2.0)
-    _, q_value, _, _ = q_field(q_candidates(controlled), a, p)
-    _, lam_value = lambda_field(controlled, a, p)
+    _, q_value, _, _ = q_at(q_candidates(controlled), a, p)
+    _, lam_value = lambda_at(controlled, a, p)
     value = float(controlled.disutility_f(0.5)) - q_value[0] - lam_value[0]
     assert value == pytest.approx(0.1625, abs=1e-12)
 
@@ -87,8 +89,8 @@ def test_hamiltonian_hand_example(controlled):
 def test_hamiltonian_reduces_to_f_where_growth_vanishes(controlled):
     x = np.asarray([0.0, 1.0])
     a, p = controlled.growth_a(x), np.full(2, -11.0)
-    _, q_value, _, _ = q_field(q_candidates(controlled), a, p)
-    _, lam_value = lambda_field(controlled, a, p)
+    _, q_value, _, _ = q_at(q_candidates(controlled), a, p)
+    _, lam_value = lambda_at(controlled, a, p)
     f = controlled.disutility_f(x)
     np.testing.assert_allclose(f - q_value - lam_value, f, rtol=0.0, atol=1e-12)
 
@@ -102,8 +104,8 @@ def test_hamiltonian_lipschitz_in_slope(x, p1, p2):
     bound = (r_max + controlled.sigma * controlled.lambda_max)
     a = controlled.growth_a(np.full(2, x))
     p = np.asarray([p1, p2])
-    _, q_value, _, _ = q_field(table, a, p)
-    _, lam_value = lambda_field(controlled, a, p)
+    _, q_value, _, _ = q_at(table, a, p)
+    _, lam_value = lambda_at(controlled, a, p)
     h1, h2 = float(controlled.disutility_f(x)) - q_value - lam_value
     assert abs(h1 - h2) <= bound * float(a[0]) * abs(p1 - p2) + 1e-9
 
@@ -117,7 +119,7 @@ def test_lambda_matches_brute_force_grid(x, p, psi0):
     grid = np.linspace(-spec.lambda_max, spec.lambda_max, 10_000)
     a_x = float(spec.growth_a(x))
     objective = -spec.sigma * grid * a_x * p + grid ** 2 / (2.0 * spec.psi0)
-    _, value = lambda_field(spec, *at(spec, x, p))
+    _, value = lambda_at(spec, *at(spec, x, p))
     assert value[0] <= objective.min() + 1e-12
     assert value[0] == pytest.approx(objective.min(), abs=1e-8)
 
@@ -127,6 +129,6 @@ def test_lambda_matches_brute_force_grid(x, p, psi0):
 def test_q_argmax_invariant_under_positive_scaling(x, p, c):
     base = make_paper_spec(True)
     scaled = replace(base, cost_h=tabulated([[0.0, 0.0], [1.0, 0.1 * c]]))
-    q_base = q_field(q_candidates(base), *at(base, x, p))[0]
-    q_scaled = q_field(q_candidates(scaled), *at(scaled, x, c * p))[0]
+    q_base = q_at(q_candidates(base), *at(base, x, p))[0]
+    q_scaled = q_at(q_candidates(scaled), *at(scaled, x, c * p))[0]
     assert q_base[0] == q_scaled[0]

@@ -11,7 +11,7 @@ from robpop.model import (tabulated, tabulated_density, tent_disutility,
                           uniform_density)
 from robpop.solver import ControlTable, build_scheme, running_cost
 
-from conftest import controls_at
+from conftest import controls_at, entropy_weight
 
 ZERO_FN = tabulated([[0.0, 0.0], [1.0, 0.0]])
 ONE_FN = tabulated([[0.0, 1.0], [1.0, 1.0]])
@@ -153,7 +153,8 @@ def test_penalty_part_never_positive(controls, h):
     spec = rp.make_paper_spec(True)
     lam, th1, th2 = (np.asarray(c, dtype=float) for c in zip(*controls))
     f = np.linspace(0.0, 1.0, lam.size)
-    cost = running_cost(spec, f, np.full(lam.size, h), lam, th1, th2)
+    cost = running_cost(spec.psi0, entropy_weight(spec), f,
+                        np.full(lam.size, h), lam, np.stack((th1, th2)))
     assert np.all(cost <= f + h)
 
 

@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 
 import robpop as rp
 from robpop.model import tabulated, zero_rate
-from robpop.solver import (PolicyConfig, PolicyIterationError,
+from robpop.solver import (ControlField, PolicyConfig, PolicyIterationError,
                            SchemeError, SingularSystemError, TridiagonalSystem,
-                           _extract_controls, _gradient,
-                           assemble_system, build_scheme, ergodic_estimate,
-                           step_backward, switching_points, thomas_solve)
+                           _central_mask, _extract_controls, _gradient,
+                           build_scheme, ergodic_estimate, step_backward,
+                           switching_points, thomas_solve)
 
-from conftest import controls_at, reference_handoff
+from conftest import assemble_at, controls_at, reference_handoff
 
 ZERO_FN = tabulated([[0.0, 0.0], [1.0, 0.0]])
 
@@ -22,44 +22,39 @@ def neutral_controls(ops):
     return controls_at(ops, np.zeros(n), np.zeros(n), np.ones(n), np.ones(n))
 
 
-def assemble_at(ops, dt, controls, phi_next, phi_lagged):
-    reference, w = reference_handoff(ops, controls, phi_lagged)
-    return assemble_system(ops, dt, reference, phi_next, w)
-
-
 # ---------------------------------------------------------------------------
 # tridiagonal solves
 # ---------------------------------------------------------------------------
 
 def test_thomas_identity():
     rhs = np.asarray([3.0, -1.0, 4.5])
-    sys = TridiagonalSystem(lower=np.zeros(2), diag=np.ones(3),
-                            upper=np.zeros(2), rhs=rhs.copy())
+    sys = TridiagonalSystem(lower=np.zeros(3), diag=np.ones(3),
+                            upper=np.zeros(3), rhs=rhs.copy())
     np.testing.assert_allclose(thomas_solve(sys), rhs)
 
 
 def test_thomas_hand_solved_3x3():
-    sys = TridiagonalSystem(lower=np.asarray([-1.0, -1.0]),
+    sys = TridiagonalSystem(lower=np.asarray([0.0, -1.0, -1.0]),
                             diag=np.asarray([2.0, 2.0, 2.0]),
-                            upper=np.asarray([-1.0, -1.0]),
+                            upper=np.asarray([-1.0, -1.0, 0.0]),
                             rhs=np.asarray([1.0, 0.0, 1.0]))
     np.testing.assert_allclose(thomas_solve(sys), [1.0, 1.0, 1.0], atol=1e-14)
 
 
 def test_thomas_scalar_system():
-    sys = TridiagonalSystem(lower=np.zeros(0), diag=np.asarray([4.0]),
-                            upper=np.zeros(0), rhs=np.asarray([8.0]))
+    sys = TridiagonalSystem(lower=np.zeros(1), diag=np.asarray([4.0]),
+                            upper=np.zeros(1), rhs=np.asarray([8.0]))
     np.testing.assert_allclose(thomas_solve(sys), [2.0])
 
 
 def test_thomas_zero_pivot_raises():
-    sys = TridiagonalSystem(lower=np.zeros(0), diag=np.asarray([0.0]),
-                            upper=np.zeros(0), rhs=np.asarray([1.0]))
+    sys = TridiagonalSystem(lower=np.zeros(1), diag=np.asarray([0.0]),
+                            upper=np.zeros(1), rhs=np.asarray([1.0]))
     with pytest.raises(SingularSystemError):
         thomas_solve(sys)
-    sys2 = TridiagonalSystem(lower=np.asarray([0.0]),
+    sys2 = TridiagonalSystem(lower=np.zeros(2),
                              diag=np.asarray([1.0, 0.0]),
-                             upper=np.asarray([0.0]),
+                             upper=np.zeros(2),
                              rhs=np.asarray([1.0, 1.0]))
     with pytest.raises(SingularSystemError):
         thomas_solve(sys2)
@@ -81,7 +76,8 @@ def test_thomas_residual_on_dominant_systems(n, seed):
     diag[:-1] += np.abs(upper)
     diag[1:] += np.abs(lower)
     rhs = rng.uniform(-10.0, 10.0, n)
-    x = thomas_solve(TridiagonalSystem(lower, diag, upper, rhs))
+    x = thomas_solve(TridiagonalSystem(np.append(0.0, lower), diag,
+                                       np.append(upper, 0.0), rhs))
     residual = diag * x
     residual[:-1] += upper * x[1:]
     residual[1:] += lower * x[:-1]
@@ -106,7 +102,7 @@ def test_assemble_upwind_row_from_pure_drift():
     n = ops.mesh.n_nodes
     sys = assemble_at(ops, 0.005, neutral_controls(ops), np.zeros(n), np.zeros(n))
     i = 5
-    assert sys.lower[i - 1] == pytest.approx(0.0)
+    assert sys.lower[i] == pytest.approx(0.0)
     assert sys.upper[i] == pytest.approx(-5.0)
     assert sys.diag[i] == pytest.approx(205.0)
 
@@ -117,7 +113,7 @@ def test_assemble_central_row_when_diffusion_dominates():
     n = ops.mesh.n_nodes
     sys = assemble_at(ops, 0.005, neutral_controls(ops), np.zeros(n), np.zeros(n))
     i = 5
-    assert sys.lower[i - 1] == pytest.approx(-97.5)
+    assert sys.lower[i] == pytest.approx(-97.5)
     assert sys.upper[i] == pytest.approx(-102.5)
 
 
@@ -145,9 +141,9 @@ def test_assembled_rows_are_m_matrix_rows():
     sys = assemble_at(ops, dt, controls, phi, phi)
     assert np.all(sys.lower <= 1e-12)
     assert np.all(sys.upper <= 1e-12)
-    off = np.zeros(n)
-    off[1:] += np.abs(sys.lower)
-    off[:-1] += np.abs(sys.upper)
+    # the couplings past both ends are zero in the system
+    assert sys.lower[0] == 0.0 and sys.upper[-1] == 0.0
+    off = np.abs(sys.lower) + np.abs(sys.upper)
     assert np.all(sys.diag >= 1.0 / dt - 1e-9)
     assert np.all(sys.diag >= off - 1e-9)
 
@@ -165,8 +161,7 @@ def test_end_rows_hold_only_the_inward_drift():
                            rng.uniform(-1.0, 1.0, n), rng.uniform(0.2, 2.0, n),
                            rng.uniform(0.2, 2.0, n))
     dt = 0.005
-    sys = assemble_system(ops, dt, controls, phi,
-                          reference_handoff(ops, controls, phi)[1])
+    sys = assemble_at(ops, dt, controls, phi, phi)
     b = controls.drift
     th1, th2 = controls.theta1_star, controls.theta2_star
     assert b[0] > 0.0 > b[-1]
@@ -183,7 +178,8 @@ def test_end_slopes_are_one_sided(end_drift):
     ops = build_scheme(rp.make_paper_spec(True), rp.build_mesh(40))
     x, dx = ops.mesh.nodes, ops.mesh.dx
     phi = np.sin(7.0 * x) + x ** 2
-    p = _gradient(ops, phi, np.full(x.size, end_drift))
+    drift = np.full((1, x.size), end_drift)
+    p = _gradient(ops, phi[None], (drift, _central_mask(ops.two_d_dx, drift)))[0]
     assert p[0] == (phi[1] - phi[0]) / dx
     assert p[-1] == (phi[-1] - phi[-2]) / dx
 
@@ -204,13 +200,15 @@ def test_extraction_hands_assembly_what_it_would_evaluate():
     ops = build_scheme(spec, rp.build_mesh(200))
     x = ops.mesh.nodes
     phi = 4.0 * (x - 0.5) ** 2 + 0.1 * np.sin(9.0 * x)
-    controls, (w1, w2) = _extract_controls(ops, phi, ops.first_drift)
+    batch, (theta, w), _ = _extract_controls(ops, phi[None],
+                                             ops.first_stencil)
+    controls = ControlField(*(row[0] for row in vars(batch).values()))
     assert set(controls.q_star.tolist()) == {0.0, 0.5, 1.0}
-    reference, (ref_w1, ref_w2) = reference_handoff(ops, controls, phi)
+    reference, (ref_theta, ref_w) = reference_handoff(ops, controls, phi)
     assert np.array_equal(controls.drift, reference.drift)
     assert np.array_equal(controls.cost, reference.cost)
-    np.testing.assert_allclose(w1, ref_w1, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(w2, ref_w2, rtol=0.0, atol=1e-12)
+    assert np.array_equal(theta[:, 0], ref_theta)
+    np.testing.assert_allclose(w[:, 0], ref_w, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -230,16 +228,17 @@ def test_step_backward_degenerate_analytic():
     dt = 0.01
     phi_next = np.linspace(0.0, 1.0, mesh.n_nodes)
     expected = phi_next + dt * np.asarray(spec.disutility_f(mesh.nodes))
-    phi, _, _ = step_backward(ops, dt, phi_next, 0.99)
-    np.testing.assert_allclose(phi, expected, atol=1e-12)
+    phi, _, _ = step_backward(ops, dt, phi_next[None], 0.99)
+    np.testing.assert_allclose(phi[0], expected, atol=1e-12)
 
 
 def test_step_backward_zero_is_fixed_point():
     spec = replace(rp.make_paper_spec(False), disutility_f=ZERO_FN)
     mesh = rp.build_mesh(40)
     ops = build_scheme(spec, mesh)
-    phi, controls, n_iters = step_backward(ops, 0.005, np.zeros(mesh.n_nodes),
-                                           0.995)
+    phi, stencil, n_iters = step_backward(ops, 0.005,
+                                          np.zeros((1, mesh.n_nodes)), 0.995)
+    controls = _extract_controls(ops, phi, stencil)[0]
     np.testing.assert_allclose(phi, 0.0, atol=1e-14)
     np.testing.assert_allclose(controls.lambda_star, 0.0, atol=1e-14)
     np.testing.assert_allclose(controls.theta1_star, 1.0, atol=1e-14)
@@ -252,7 +251,7 @@ def test_step_backward_nonconvergence_raises():
     mesh = rp.build_mesh(30)
     ops = build_scheme(spec, mesh)
     with pytest.raises(PolicyIterationError) as err:
-        step_backward(ops, 0.005, np.zeros(mesh.n_nodes), 0.495,
+        step_backward(ops, 0.005, np.zeros((1, mesh.n_nodes)), 0.495,
                       PolicyConfig(tol=1e-30, max_iter=1))
     assert err.value.residual > 0.0
     assert err.value.time_label == 0.495
@@ -264,7 +263,7 @@ def test_step_backward_stops_on_first_nonfinite_change():
     ops = build_scheme(rp.make_paper_spec(False), mesh)
     with (pytest.raises(PolicyIterationError, match="after 1 iterations") as err,
           np.errstate(over="ignore")):
-        step_backward(ops, 0.005, np.full(mesh.n_nodes, 1e308), 0.495)
+        step_backward(ops, 0.005, np.full((1, mesh.n_nodes), 1e308), 0.495)
     assert not np.isfinite(err.value.residual)
 
 
@@ -462,8 +461,11 @@ def plain_march(spec, mesh, time_grid):
     slices = {time_grid.n_steps: np.zeros(mesh.n_nodes)}
     controls = {}
     for m in range(time_grid.n_steps - 1, -1, -1):
-        slices[m], controls[m], _ = step_backward(ops, dt, slices[m + 1],
-                                                  m * dt)
+        values, stencil, _ = step_backward(ops, dt, slices[m + 1][None],
+                                           m * dt)
+        level = _extract_controls(ops, values, stencil)[0]
+        slices[m] = values[0]
+        controls[m] = ControlField(*(row[0] for row in vars(level).values()))
     return slices, controls, ergodic_estimate(slices[0], slices[1], dt)
 
 
@@ -527,3 +529,117 @@ def test_degenerate_spec_marches_to_zero():
                                atol=1e-10 * 50.0)
     assert result.ergodic.E_spread == pytest.approx(
         np.max(np.abs(f - f.mean())))
+
+
+# ---------------------------------------------------------------------------
+# the batch
+# ---------------------------------------------------------------------------
+
+def batch_specs():
+    """Three controlled specs whose scalars and q tables differ; the third
+    has smaller jump intensities, so its policy iteration converges in fewer
+    iterations and it exits much earlier."""
+    base = replace(rp.make_paper_spec(True), horizon=40.0)
+    return [replace(base, psi0=0.25),
+            replace(base, sigma=0.7, q_max=0.5),
+            replace(base, psi0=2.0, q_max=0.8, nu1=0.5, nu2=0.5)]
+
+
+@pytest.mark.parametrize("record_controls", [False, True])
+def test_batch_is_each_spec_alone_bitwise(record_controls):
+    specs = batch_specs()
+    mesh, tg = rp.build_mesh(30), rp.build_time_grid(40.0, 0.2)
+    batch = rp.solve_many(specs, mesh, tg, snapshot_times=(1.0, 30.0),
+                          record_controls=record_controls)
+    # specs leave the batch within a step and at different exits
+    assert len({r.exit_time for r in batch}) == 3
+    assert len({int(r.iteration_stats[-1]) for r in batch}) == 2
+    for spec, got in zip(specs, batch):
+        alone = rp.solve_backward(spec, mesh, tg, snapshot_times=(1.0, 30.0),
+                                  record_controls=record_controls)
+        assert np.array_equal(got.final_value, alone.final_value)
+        assert same_controls(got.final_controls, alone.final_controls)
+        assert np.array_equal(got.iteration_stats, alone.iteration_stats)
+        assert got.exit_time == alone.exit_time
+        assert got.ergodic == alone.ergodic
+        assert [s.time for s in got.snapshots] == [s.time
+                                                  for s in alone.snapshots]
+        assert all(np.array_equal(a.values, b.values)
+                   for a, b in zip(got.snapshots, alone.snapshots))
+        if record_controls:
+            levels = got.control_table.levels
+            assert len(levels) == len(alone.control_table.levels)
+            assert all(same_controls(a, b) for a, b in
+                       zip(levels, alone.control_table.levels))
+
+
+def test_empty_batch_solves_nothing():
+    assert rp.solve_many([], rp.build_mesh(10),
+                         rp.build_time_grid(40.0, 1.0)) == []
+
+
+def test_batch_rejects_specs_with_other_jump_densities():
+    specs = batch_specs()
+    specs[2] = replace(specs[2], jump_density_2=rp.uniform_density(0.2, 0.9))
+    with pytest.raises(ValueError, match="jump_density_2 of spec 2"):
+        rp.solve_many(specs, rp.build_mesh(10), rp.build_time_grid(40.0, 1.0))
+
+
+def test_batch_failure_names_the_spec():
+    specs = batch_specs()
+    specs[1] = replace(specs[1], disutility_f=ZERO_FN)
+    # the zero-cost spec settles on the first iterate; the others stall
+    with pytest.raises(PolicyIterationError, match="of spec 0 stalled") as err:
+        rp.solve_many(specs, rp.build_mesh(10), rp.build_time_grid(40.0, 1.0),
+                      policy=PolicyConfig(max_iter=2))
+    assert err.value.spec_index == 0
+    with pytest.raises(PolicyIterationError) as err:
+        rp.solve_many(specs[1:], rp.build_mesh(10),
+                      rp.build_time_grid(40.0, 1.0),
+                      policy=PolicyConfig(max_iter=2))
+    assert err.value.spec_index == 1
+
+
+@pytest.mark.parametrize("overflowing", [0, 1])
+def test_an_overflowing_spec_is_named(overflowing):
+    # phi_next / dt overflows one spec's right-hand side on the first solve
+    specs = batch_specs()[:2]
+    mesh = rp.build_mesh(30)
+    ops = build_scheme(specs, mesh)
+    phi_next = np.zeros((2, mesh.n_nodes))
+    phi_next[overflowing] = 1e308
+    with (pytest.raises(PolicyIterationError, match="after 1 iterations") as err,
+          np.errstate(over="ignore")):
+        step_backward(ops, 0.005, phi_next, 0.495)
+    assert err.value.spec_index == overflowing
+
+
+def test_systems_laid_end_to_end_are_each_solved_alone():
+    rng = np.random.default_rng(11)
+    n = 12
+    lower, upper = -rng.uniform(0.0, 1.0, (2, 3, n))
+    lower[:, 0] = upper[:, -1] = 0.0
+    diag = 2.5 + rng.uniform(0.0, 1.0, (3, n))
+    rhs = rng.uniform(-5.0, 5.0, (3, n))
+    rhs[1, 4] = np.inf      # the middle system overflows
+
+    def alone(j):
+        return thomas_solve(TridiagonalSystem(lower[j], diag[j], upper[j],
+                                              rhs[j]))
+
+    with np.errstate(invalid="ignore"):
+        joint = thomas_solve(TridiagonalSystem(lower, diag, upper, rhs))
+        middle = alone(1)
+    assert np.array_equal(joint[0], alone(0))
+    assert np.array_equal(joint[2], alone(2))
+    assert np.array_equal(joint[1], middle, equal_nan=True)
+
+
+def test_batch_scheme_error_names_the_spec():
+    specs = batch_specs()[:2]
+    specs[1] = replace(specs[1], growth_a=tabulated(
+        [[0.0, 0.0], [0.5, 1e300], [1.0, 0.0]]))
+    with (pytest.raises(SchemeError, match="system of spec 1") as err,
+          np.errstate(all="ignore")):
+        rp.solve_many(specs, rp.build_mesh(10), rp.build_time_grid(40.0, 1.0))
+    assert err.value.spec_index == 1
