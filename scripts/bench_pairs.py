@@ -11,7 +11,8 @@ and quartiles, the change/parent ratio of the medians, how many pairs the
 change won (ties count for neither side), the metric's bound from
 BENCHMARK.json, whether the change's median is within it (at most the
 parent's median times 1 + bound), and whether the gap between the medians
-exceeds the parent's quartile spread q3 - q1.
+exceeds the parent's quartile spread q3 - q1. It also records each side's
+number of lines in ``src/robpop/*.py``.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --pairs 10 --out BENCH_N.json
@@ -39,6 +40,12 @@ def run_all(root: Path, trace: bool) -> dict[str, dict]:
         results[workload["name"]] = json.loads(
             proc.stdout.strip().splitlines()[-1])
     return results
+
+
+def src_lines(root: Path) -> int:
+    """The number of lines of ``src/robpop/*.py`` in ``root``, as wc -l counts."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (root / "src" / "robpop").glob("*.py"))
 
 
 def summarize(pairs: list[dict], bounds: dict[str, float]) -> dict:
@@ -93,6 +100,8 @@ def main(argv=None) -> int:
     ns.out.write_text(json.dumps({
         "command": "python3 perfbench/run.py --workload NAME",
         "summary": summarize(pairs, bounds),
+        "src_lines": {side: src_lines(getattr(ns, side))
+                      for side in ("parent", "change")},
         "pairs": pairs,
         "traced": traced,
     }, indent=1) + "\n")

@@ -5,9 +5,9 @@ discrete candidate table (q_k, r(q_k), h(q_k)) built once per solve by
 :func:`q_candidates` (ties broken toward the smallest q, i.e. toward no
 intervention); nature's drift distortion lambda minimizes the quadratic
 -sigma lambda a(x) p + lambda^2 / (2 psi0) in closed form with clamping to
-[-lambda_max, lambda_max]. Both work on whole node arrays, one row per spec
-of a batch, and return the maximizers only: the step never reads the
-objective values they attain.
+[-lambda_max, lambda_max]. Both work on whole node arrays of shape (k, n),
+one row per spec of a batch (q's candidate tables too: (k, m)), and return
+the maximizers only: the step never reads the objective values they attain.
 """
 
 from __future__ import annotations
@@ -36,18 +36,12 @@ def q_candidates(spec: ProblemSpec):
 def q_field(table, a_vals: np.ndarray, p_vals: np.ndarray):
     """Vectorized discrete argmax of -r(q) a p - h(q); first (smallest) q wins ties.
 
-    `table` is the output of :func:`q_candidates`, shared by every row of
-    a p, or such a table with one row per row of a p, shape (k, m). Returns
-    (q_star, r_at_q_star, h_at_q_star), shaped like a p.
+    `table` holds one :func:`q_candidates` table per row of a p, stacked to
+    shape (k, m). Returns (q_star, r_at_q_star, h_at_q_star), shaped like a p.
     """
     qs, r_vals, h_vals = table
     ap = a_vals * p_vals
-    if r_vals.ndim == 1:
-        objective = -np.outer(r_vals, ap) - h_vals[:, None]
-        k = objective.argmax(axis=0).reshape(ap.shape)
-    else:
-        objective = -(r_vals[:, :, None] * ap[:, None, :]) - h_vals[:, :, None]
-        k = (objective.argmax(axis=1)
-             + r_vals.shape[1] * np.arange(len(r_vals))[:, None])
-        qs, r_vals, h_vals = qs.ravel(), r_vals.ravel(), h_vals.ravel()
-    return qs[k], r_vals[k], h_vals[k]
+    objective = -(r_vals[:, :, None] * ap[:, None, :]) - h_vals[:, :, None]
+    k = (objective.argmax(axis=1)
+         + r_vals.shape[1] * np.arange(len(r_vals))[:, None])
+    return qs.ravel()[k], r_vals.ravel()[k], h_vals.ravel()[k]

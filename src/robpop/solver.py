@@ -165,12 +165,11 @@ class PolicyConfig:
 class SchemeOperators:
     """The discretized operators of a batch of k specs on one mesh.
 
-    A node row that every spec of the batch has in common is one (n,) array,
-    else a (k, n) stack; a scalar they share is a float, else a (k, 1)
-    column; a scalar per jump kind is a (2, 1, 1) or a (2, k, 1) array.
-    Per-spec entries run over the specs on their second-to-last axis (see
-    `subset`). The rows the step reads on every iterate are built here, once
-    per solve.
+    Every per-spec entry is stacked over the specs on its second-to-last
+    axis, whether or not the specs agree on it: a node row is (k, n), a
+    scalar a (k, 1) column, a scalar per jump kind (2, k, 1) and a q
+    candidate table (k, m) per part, so `subset` slices them all alike. The
+    rows the step reads on every iterate are built here, once per solve.
     """
 
     specs: tuple[ProblemSpec, ...]
@@ -186,10 +185,10 @@ class SchemeOperators:
     q_table: tuple              # (q_k, r(q_k), h(q_k)), see q_field
     first_stencil: tuple        # (drift, central mask) at q = 0, lambda = 0
     lambda_scale: np.ndarray    # psi0 sigma a
-    sigma: float | np.ndarray
-    psi0: float | np.ndarray
-    lambda_max: float | np.ndarray
-    theta_max: float | np.ndarray
+    sigma: np.ndarray
+    psi0: np.ndarray
+    lambda_max: np.ndarray
+    theta_max: np.ndarray
     nu: np.ndarray              # (nu1, nu2) per jump kind
     psi: np.ndarray             # (psi1, psi2)
     entropy_weight: np.ndarray  # (nu1 / psi1, nu2 / psi2)
@@ -209,53 +208,35 @@ class SchemeOperators:
             if len(index) not in self._blocks:
                 self._blocks[len(index)] = block_quadrature(
                     (self.quad_down, self.quad_up), len(index))
-            given = ("specs", "index", "jumps")
             found = self._subsets[index] = replace(
                 self, specs=tuple(self.specs[p] for p in positions),
                 index=index, jumps=self._blocks[len(index)],
                 **{f.name: _take(getattr(self, f.name), positions)
-                   for f in fields(self) if f.name not in given})
+                   for f in fields(self) if f.name not in _SHARED})
         return found
 
 
+# the fields of SchemeOperators that are not stacked over the specs
+_SHARED = ("specs", "index", "batch_size", "mesh", "quad_down", "quad_up",
+           "jumps", "_subsets", "_blocks")
+
+
 def _take(value, positions):
-    """The rows at `positions` of a per-spec entry; entries all specs share
-    (floats, (n,) rows, a spec axis of length one) pass through."""
+    """The rows at `positions` of a per-spec entry, a tuple entry by entry."""
     if isinstance(value, tuple):
-        return tuple(_take(v, positions) for v in value)
-    if isinstance(value, np.ndarray) and value.ndim >= 2 and value.shape[-2] > 1:
-        return value[..., positions, :]
-    return value
+        return tuple(v[..., positions, :] for v in value)
+    return value[..., positions, :]
 
 
-def _rows(rows: list[np.ndarray]) -> np.ndarray:
-    """One (n,) row if every spec has the same, else their (k, n) stack."""
-    if all(np.array_equal(row, rows[0]) for row in rows[1:]):
-        return rows[0]
-    return np.stack(rows)
-
-
-def _scalars(values: list[float]):
-    """A float if every spec has the same, else their (k, 1) column."""
-    if all(v == values[0] for v in values[1:]):
-        return values[0]
-    return np.asarray(values, dtype=float)[:, None]
-
-
-def _pairs(values: list[tuple[float, float]]) -> np.ndarray:
-    """Per-jump-kind scalars: (2, 1, 1) if every spec has the same, else the
-    (2, k, 1) stack."""
-    if all(v == values[0] for v in values[1:]):
-        values = values[:1]
-    return np.asarray(values, dtype=float).T[:, :, None]
+def _stacked(values) -> np.ndarray:
+    """Per-spec scalars as a (k, 1) column, per-spec pairs of them (one per
+    jump kind) as a (2, k, 1) stack."""
+    return np.asarray(values, dtype=float).T[..., None]
 
 
 def _q_tables(tables: list[tuple]) -> tuple:
-    """One shared candidate table, or one row per spec, shape (k, m); shorter
+    """The specs' candidate tables, one row per spec, shape (k, m); shorter
     tables repeat their last candidate, which never wins a tie."""
-    if all(all(np.array_equal(a, b) for a, b in zip(t, tables[0]))
-           for t in tables[1:]):
-        return tables[0]
     m = max(len(t[0]) for t in tables)
     return tuple(np.stack([np.pad(part, (0, m - len(part)), mode="edge")
                            for part in parts]) for parts in zip(*tables))
@@ -298,8 +279,8 @@ def build_scheme(specs, mesh: Mesh, n_quad: int = N_QUAD) -> SchemeOperators:
     dx = mesh.dx
     a_vals = [np.asarray(s.growth_a(x), dtype=float) for s in specs]
     base_drift = [s.gamma1 - (s.gamma0 + s.gamma1) * x for s in specs]
-    diffusion = _rows([0.5 * s.sigma ** 2 * a ** 2
-                       for s, a in zip(specs, a_vals)])
+    diffusion = np.stack([0.5 * s.sigma ** 2 * a ** 2
+                          for s, a in zip(specs, a_vals)])
     first_drift = np.stack([
         controlled_drift(s.sigma, b, a,
                          float(np.asarray(s.growth_rate_r(0.0), dtype=float)),
@@ -320,22 +301,22 @@ def build_scheme(specs, mesh: Mesh, n_quad: int = N_QUAD) -> SchemeOperators:
         quad_down=quad_down,
         quad_up=quad_up,
         jumps=jumps,
-        a_vals=_rows(a_vals),
-        f_vals=_rows([np.asarray(s.disutility_f(x), dtype=float)
-                      for s in specs]),
-        base_drift=_rows(base_drift),
+        a_vals=np.stack(a_vals),
+        f_vals=np.stack([np.asarray(s.disutility_f(x), dtype=float)
+                         for s in specs]),
+        base_drift=np.stack(base_drift),
         q_table=_q_tables([q_candidates(s) for s in specs]),
         first_stencil=(first_drift, _central_mask(two_d_dx, first_drift)),
-        lambda_scale=_rows([s.psi0 * s.sigma * a
-                            for s, a in zip(specs, a_vals)]),
-        sigma=_scalars([s.sigma for s in specs]),
-        psi0=_scalars([s.psi0 for s in specs]),
-        lambda_max=_scalars([s.lambda_max for s in specs]),
-        theta_max=_scalars([s.theta_max for s in specs]),
-        nu=_pairs([(s.nu1, s.nu2) for s in specs]),
-        psi=_pairs([(s.psi1, s.psi2) for s in specs]),
-        entropy_weight=_pairs([(s.nu1 / s.psi1, s.nu2 / s.psi2)
-                               for s in specs]),
+        lambda_scale=np.stack([s.psi0 * s.sigma * a
+                               for s, a in zip(specs, a_vals)]),
+        sigma=_stacked([s.sigma for s in specs]),
+        psi0=_stacked([s.psi0 for s in specs]),
+        lambda_max=_stacked([s.lambda_max for s in specs]),
+        theta_max=_stacked([s.theta_max for s in specs]),
+        nu=_stacked([(s.nu1, s.nu2) for s in specs]),
+        psi=_stacked([(s.psi1, s.psi2) for s in specs]),
+        entropy_weight=_stacked([(s.nu1 / s.psi1, s.nu2 / s.psi2)
+                                 for s in specs]),
         d_dx2=d_dx2,
         neg_d_dx2=-d_dx2,
         two_d_dx2=2.0 * d_dx2,
@@ -506,17 +487,18 @@ def step_backward(ops: SchemeOperators, dt: float, phi_next: np.ndarray,
     """
     rhs_next = phi_next / dt
     phi, stencil, sub = phi_next, ops.first_stencil, ops
-    rows = values = None    # set once a spec leaves before the others
+    rows = np.arange(len(phi_next))     # the specs still iterating
+    values, drift = np.empty_like(phi_next), np.empty_like(phi_next)
+    central = np.empty(phi_next.shape, dtype=bool)
     for iteration in range(1, policy.max_iter + 1):
         controls, jumps, stencil = _extract_controls(sub, phi, stencil)
         phi_new = thomas_solve(assemble_system(sub, dt, controls, stencil[1],
                                                jumps, rhs_next))
         change = np.abs(phi_new - phi).max(axis=1)
         settled = change <= policy.tol
-        if settled.all():
-            break
         # written as "not within bound" so that a NaN change stops at once
-        if iteration == policy.max_iter or not change.max() < np.inf:
+        if ((iteration == policy.max_iter and not settled.all())
+                or not change.max() < np.inf):
             finite = change < np.inf
             j = np.flatnonzero(~settled if finite.all() else ~finite)[0]
             raise PolicyIterationError(
@@ -525,28 +507,18 @@ def step_backward(ops: SchemeOperators, dt: float, phi_next: np.ndarray,
                 residual=float(change[j]), time_label=t,
                 spec_index=sub.index[j])
         if settled.any():
-            if rows is None:
-                rows = np.arange(len(ops.specs))
-                values = np.empty_like(phi_next)
-                drift, central = np.empty_like(phi_next), np.empty(
-                    phi_next.shape, dtype=bool)
             done, keep = rows[settled], ~settled
             values[done] = phi_new[settled]
             drift[done], central[done] = stencil[0][settled], stencil[1][settled]
             if counts is not None:
                 counts[done] = iteration
+            if not keep.any():
+                return values, (drift, central), iteration
             rows = rows[keep]
-            sub = ops.subset(rows)
+            sub = sub.subset(np.flatnonzero(keep))
             phi_new, rhs_next = phi_new[keep], rhs_next[keep]
             stencil = (stencil[0][keep], stencil[1][keep])
         phi = phi_new
-    if counts is not None:
-        counts[slice(None) if rows is None else rows] = iteration
-    if rows is None:
-        return phi_new, stencil, iteration
-    values[rows] = phi_new
-    drift[rows], central[rows] = stencil
-    return values, (drift, central), iteration
 
 
 def ergodic_estimate(earlier: np.ndarray, later: np.ndarray,
@@ -667,13 +639,11 @@ def solve_many(specs, mesh: Mesh, time_grid: TimeGrid,
         if not exiting:
             continue
         if not record_controls:
-            level = _extract_controls(
-                ops.subset(active[exiting]), phi[exiting],
-                (stencil[0][exiting], stencil[1][exiting]))[0]
-        for n_exited, j in enumerate(exiting):
+            level = _extract_controls(sub, phi, stencil)[0]
+        for j in exiting:
             i = active[j]
             controls = (marches[i].recorded[-1] if record_controls
-                        else _control_row(level, n_exited))
+                        else _control_row(level, j))
             results[i] = _finish(marches[i], phi[j], controls, m, time_grid,
                                  mesh, snap_levels, record_controls)
         keep = np.ones(len(active), dtype=bool)

@@ -109,9 +109,11 @@ def lambda_at(spec, a, p):
 
 
 def q_at(table, a, p):
-    """q_field's (q*, r(q*), h(q*)) and the objective -r(q*) a p - h(q*)
-    it attains, as (q*, value, r(q*), h(q*))."""
-    q, r, h = q_field(table, a, p)
+    """q_field's (q*, r(q*), h(q*)) on one spec's table and node arrays (a
+    batch of one), and the objective -r(q*) a p - h(q*) it attains, as (q*,
+    value, r(q*), h(q*))."""
+    q, r, h = (row[0] for row in q_field(tuple(part[None] for part in table),
+                                         a[None], p[None]))
     return q, -r * (a * p) - h, r, h
 
 

@@ -258,7 +258,13 @@ def test_bench_pairs_alternates_sides_and_counts_wins(tmp_path, monkeypatch):
         return {"w": {"metrics": {name: {"value": wall} for name in (
             "wall_s", "setup_s", "pde_s", "cpu_s", "peak_rss_mb")}}}
     monkeypatch.setattr(script, "run_all", fake_run_all)
-    (tmp_path / "change").mkdir()
+    for side, sources in (("parent", ("a\nb\nc\n", "d\n")),
+                          ("change", ("a\nb\n",))):
+        package = tmp_path / side / "src" / "robpop"
+        package.mkdir(parents=True)
+        for n, text in enumerate(sources):
+            (package / f"m{n}.py").write_text(text)
+        (package / "notes.txt").write_text("not counted\n")
     (tmp_path / "change" / "BENCHMARK.json").write_text(
         (ROOT / "BENCHMARK.json").read_text())
     out = tmp_path / "bench.json"
@@ -277,6 +283,8 @@ def test_bench_pairs_alternates_sides_and_counts_wins(tmp_path, monkeypatch):
     assert row["bound"] == 0.25
     assert row["within_bound"] is True
     assert row["gap_exceeds_parent_spread"] is True
+    assert json.loads(out.read_text())["src_lines"] == {"parent": 4,
+                                                         "change": 2}
     rss = json.loads(out.read_text())["summary"]["w"]["peak_rss_mb"]
     assert rss["bound"] == 0.1
     # a change 1.3x slower in the median, inside a wide parent spread

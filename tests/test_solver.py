@@ -1,6 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import fields, replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -545,15 +547,12 @@ def batch_specs():
             replace(base, psi0=2.0, q_max=0.8, nu1=0.5, nu2=0.5)]
 
 
-@pytest.mark.parametrize("record_controls", [False, True])
-def test_batch_is_each_spec_alone_bitwise(record_controls):
-    specs = batch_specs()
+def assert_batch_is_each_spec_alone(specs, record_controls):
+    """Solve `specs` as one batch and each spec alone (30 cells, T = 40, dt
+    = 0.2) and compare every result bit for bit; returns the batch's."""
     mesh, tg = rp.build_mesh(30), rp.build_time_grid(40.0, 0.2)
     batch = rp.solve_many(specs, mesh, tg, snapshot_times=(1.0, 30.0),
                           record_controls=record_controls)
-    # specs leave the batch within a step and at different exits
-    assert len({r.exit_time for r in batch}) == 3
-    assert len({int(r.iteration_stats[-1]) for r in batch}) == 2
     for spec, got in zip(specs, batch):
         alone = rp.solve_backward(spec, mesh, tg, snapshot_times=(1.0, 30.0),
                                   record_controls=record_controls)
@@ -571,6 +570,55 @@ def test_batch_is_each_spec_alone_bitwise(record_controls):
             assert len(levels) == len(alone.control_table.levels)
             assert all(same_controls(a, b) for a, b in
                        zip(levels, alone.control_table.levels))
+    return batch
+
+
+@pytest.mark.parametrize("record_controls", [False, True])
+def test_batch_is_each_spec_alone_bitwise(record_controls):
+    batch = assert_batch_is_each_spec_alone(batch_specs(), record_controls)
+    # specs leave the batch within a step and at different exits
+    assert len({r.exit_time for r in batch}) == 3
+    assert len({int(r.iteration_stats[-1]) for r in batch}) == 2
+
+
+@pytest.mark.parametrize("record_controls", [False, True])
+def test_batch_of_q_tables_of_different_lengths(record_controls):
+    # the three-candidate table is padded to five by repeating q = 1
+    base = replace(rp.make_paper_spec(True), horizon=40.0)
+    specs = [replace(base, psi0=0.25, q_grid_size=3, growth_rate_r=tabulated(
+                 [[0.0, 1.0], [0.5, 0.4], [1.0, 0.0]])),
+             replace(base, q_grid_size=5, q_max=0.8)]
+    batch = assert_batch_is_each_spec_alone(specs, record_controls)
+    assert 0.5 in batch[0].final_controls.q_star
+
+
+# the fields of SchemeOperators that are not stacked over the specs
+SHARED_FIELDS = ("specs", "index", "batch_size", "mesh", "quad_down",
+                 "quad_up", "jumps", "_subsets", "_blocks")
+
+
+def test_a_subset_is_the_batch_of_its_specs():
+    specs = batch_specs()
+    mesh = rp.build_mesh(30)
+    ops = build_scheme(specs, mesh)
+    per_spec = [f.name for f in fields(ops) if f.name not in SHARED_FIELDS]
+    for size in range(1, len(specs) + 1):
+        for positions in itertools.combinations(range(len(specs)), size):
+            got = ops.subset(positions)
+            fresh = build_scheme([specs[i] for i in positions], mesh)
+            assert all(a is b for a, b in zip(got.specs, fresh.specs))
+            for name in per_spec:
+                mine, theirs = getattr(got, name), getattr(fresh, name)
+                if not isinstance(mine, tuple):
+                    mine, theirs = (mine,), (theirs,)
+                assert len(mine) == len(theirs)
+                for a, b in zip(mine, theirs):
+                    assert np.shape(a) == np.shape(b), (positions, name)
+                    assert np.array_equal(a, b), (positions, name)
+            w, w_fresh = got.jumps.weights, fresh.jumps.weights
+            assert w.shape == w_fresh.shape
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(w, part), getattr(w_fresh, part))
 
 
 def test_empty_batch_solves_nothing():
