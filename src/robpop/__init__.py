@@ -18,10 +18,9 @@ from .model import (JumpDensity, ProblemSpec, TabulatedFunction,
                     uniform_density, validate_spec)
 from .solver import (ControlField, ControlTable, ErgodicReport, PolicyConfig,
                      PolicyIterationError, SchemeError, SingularSystemError,
-                     Snapshot, SolveResult, TridiagonalSystem,
-                     assemble_system, build_scheme, ergodic_estimate,
-                     solve_backward, solve_many, step_backward,
-                     switching_points, thomas_solve)
+                     Snapshot, SolveResult, assemble_system, build_scheme,
+                     ergodic_estimate, solve_backward, solve_many,
+                     step_backward, switching_points, thomas_solve)
 
 __version__ = "0.1.0"
 
@@ -36,7 +35,7 @@ __all__ = [
     "tabulated", "tabulated_density", "uniform_density", "validate_spec",
     "ControlField", "ControlTable", "ErgodicReport", "PolicyConfig",
     "PolicyIterationError", "SchemeError", "SingularSystemError", "Snapshot",
-    "SolveResult", "TridiagonalSystem", "assemble_system",
-    "build_scheme", "ergodic_estimate", "solve_backward", "solve_many",
-    "step_backward", "switching_points", "thomas_solve",
+    "SolveResult", "assemble_system", "build_scheme", "ergodic_estimate",
+    "solve_backward", "solve_many", "step_backward", "switching_points",
+    "thomas_solve",
 ]

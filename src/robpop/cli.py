@@ -28,9 +28,10 @@ from .grid import build_mesh, build_time_grid
 from .jump_ops import N_QUAD
 from .mc import SimConfig, simulate_value
 from .model import (SCALAR_FIELDS, ProblemSpec, declining_rate,
-                    logistic_growth, tabulated, tabulated_density,
-                    tent_disutility, tenth_cost, uniform_density, unit_rate,
-                    validate_spec, zero_cost, zero_rate)
+                    logistic_growth, make_paper_spec, tabulated,
+                    tabulated_density, tent_disutility, tenth_cost,
+                    uniform_density, unit_rate, validate_spec, zero_cost,
+                    zero_rate)
 from .solver import (PolicyConfig, PolicyIterationError, SchemeError,
                      solve_backward, solve_many, switching_points)
 
@@ -66,10 +67,8 @@ DEFAULTS: dict[str, object] = {
     "preset": "uncontrolled",
     **{"model." + name: getattr(ProblemSpec, name) for name in SCALAR_FIELDS},
     "model.q_grid_size": ProblemSpec.q_grid_size,
-    "model.growth_a": "logistic",
-    "model.growth_rate_r": "",     # preset-dependent default
-    "model.cost_h": "",            # preset-dependent default
-    "model.disutility_f": "tent",
+    # the preset's coefficients, filled in by resolve_config
+    **{"model." + name: "" for name in COEFFICIENT_PRESETS},
     "model.jump1": ProblemSpec.jump_density_1.xs.tolist(),
     "model.jump2": ProblemSpec.jump_density_2.xs.tolist(),
     "mesh.n_cells": 500,
@@ -126,9 +125,10 @@ def resolve_config(entries: dict[str, object]) -> RunConfig:
     if preset not in ("uncontrolled", "controlled"):
         raise ConfigError(f"unknown preset {preset!r}")
     resolved = dict(DEFAULTS)
-    resolved["model.growth_rate_r"] = ("one_minus_q" if preset == "controlled"
-                                       else "one")
-    resolved["model.cost_h"] = "tenth_q" if preset == "controlled" else "zero"
+    spec = make_paper_spec(preset == "controlled")
+    for name, presets in COEFFICIENT_PRESETS.items():
+        resolved["model." + name] = next(
+            key for key, fn in presets.items() if fn is getattr(spec, name))
     resolved.update(entries)
     for key, value in resolved.items():
         types, what = _value_type(key)

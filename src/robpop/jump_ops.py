@@ -64,7 +64,8 @@ def build_jump_quadrature(mesh: Mesh, density: JumpDensity,
     dz = (hi - lo) / n_quad
     z = lo + (np.arange(n_quad) + 0.5) * dz
     w = density(z) * dz
-    if np.any(w < 0.0) or w.sum() <= 0.0:
+    # written as "not within bound" so that a NaN or inf weight fails
+    if not (np.all(w >= 0.0) and 0.0 < w.sum() < np.inf):
         raise ValueError("jump density must be nonnegative with positive mass")
 
     n = mesh.n_nodes

@@ -96,19 +96,6 @@ class ControlField:
 
 
 @dataclass
-class TridiagonalSystem:
-    """Tridiagonal systems, one per row of the last axis. The couplings are
-    full length: lower[..., i] couples node i to node i - 1 and upper[...,
-    i] to node i + 1, so lower[..., 0] and upper[..., -1] couple past the
-    ends and must be zero."""
-
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
-    rhs: np.ndarray
-
-
-@dataclass
 class ErgodicReport:
     E_mean: float
     E_spread: float
@@ -172,7 +159,6 @@ class SchemeOperators:
     rows the step reads on every iterate are built here, once per solve.
     """
 
-    specs: tuple[ProblemSpec, ...]
     index: tuple[int, ...]      # each spec's position in the batch built
     batch_size: int             # the number of specs in the batch built
     mesh: Mesh
@@ -209,15 +195,14 @@ class SchemeOperators:
                 self._blocks[len(index)] = block_quadrature(
                     (self.quad_down, self.quad_up), len(index))
             found = self._subsets[index] = replace(
-                self, specs=tuple(self.specs[p] for p in positions),
-                index=index, jumps=self._blocks[len(index)],
+                self, index=index, jumps=self._blocks[len(index)],
                 **{f.name: _take(getattr(self, f.name), positions)
                    for f in fields(self) if f.name not in _SHARED})
         return found
 
 
 # the fields of SchemeOperators that are not stacked over the specs
-_SHARED = ("specs", "index", "batch_size", "mesh", "quad_down", "quad_up",
+_SHARED = ("index", "batch_size", "mesh", "quad_down", "quad_up",
            "jumps", "_subsets", "_blocks")
 
 
@@ -294,7 +279,6 @@ def build_scheme(specs, mesh: Mesh, n_quad: int = N_QUAD) -> SchemeOperators:
     two_d_dx = 2.0 * diffusion / dx
     jumps = block_quadrature((quad_down, quad_up), len(specs))
     ops = SchemeOperators(
-        specs=specs,
         index=tuple(range(len(specs))),
         batch_size=len(specs),
         mesh=mesh,
@@ -356,8 +340,9 @@ def _spec_label(ops: SchemeOperators, j: int) -> str:
 
 def assemble_system(ops: SchemeOperators, dt: float, controls: ControlField,
                     central: np.ndarray, jumps: tuple[np.ndarray, np.ndarray],
-                    rhs_next: np.ndarray) -> TridiagonalSystem:
-    """One implicit backward-Euler system per spec at fixed controls.
+                    rhs_next: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One implicit backward-Euler system per spec at fixed controls, as the
+    (k, n) arrays (lower, diag, upper, rhs) that `thomas_solve` takes.
 
     Reads the drift and running-cost rows the controls carry, the central
     mask of that drift, and `jumps` = (theta, expectations): theta* and the
@@ -397,7 +382,7 @@ def assemble_system(ops: SchemeOperators, dt: float, controls: ControlField,
     rhs = rhs_next + controls.cost + nu_theta_w[0] + nu_theta_w[1]
     row_low[:, 0] = 0.0
     row_up[:, -1] = 0.0
-    return TridiagonalSystem(lower=row_low, diag=diag, upper=row_up, rhs=rhs)
+    return row_low, diag, row_up, rhs
 
 
 def _scheme_error(ops: SchemeOperators, ok: np.ndarray,
@@ -408,37 +393,39 @@ def _scheme_error(ops: SchemeOperators, ok: np.ndarray,
                        ops.index[j])
 
 
-def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
-    """Solve the tridiagonal systems by pivot-free elimination.
+def thomas_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+                 rhs: np.ndarray) -> np.ndarray:
+    """Solve k tridiagonal systems of n >= 2 nodes, one per row of the four
+    (k, n) arrays, by pivot-free elimination.
 
-    Diagonal dominance of the scheme rows makes partial pivoting a no-op, so
-    the LAPACK gtsv elimination reduces to the classical forward/backward
-    Thomas sweep. The systems, laid end to end with their zero couplings
-    past the ends between them, are one system for one gtsv call, and each
-    solution is bitwise what solving its system alone gives. Should the
-    joint solution not be finite, each system is solved alone, so one that
-    overflows does not spread into the others.
+    The couplings are full length: lower[:, i] couples node i to node i - 1
+    and upper[:, i] to node i + 1, so lower[:, 0] and upper[:, -1] couple
+    past the ends and must be zero. Diagonal dominance of the scheme rows
+    makes partial pivoting a no-op, so the LAPACK gtsv elimination reduces
+    to the classical forward/backward Thomas sweep. The systems, laid end to
+    end with their zero couplings past the ends between them, are one system
+    for one gtsv call, and each solution is bitwise what solving its system
+    alone gives. Should the joint solution not be finite, each system is
+    solved alone, so one that overflows does not spread into the others.
     """
-    shape = sys.diag.shape
-    if any(part.shape != shape for part in (sys.lower, sys.upper, sys.rhs)):
-        raise ValueError("inconsistent tridiagonal system shapes")
-    n = shape[-1]
-    if sys.diag.size == 1:
-        if sys.diag.ravel()[0] == 0.0:
-            raise SingularSystemError("zero pivot in 1x1 system")
-        return sys.rhs / sys.diag
-    _, _, _, x, info = lapack.dgtsv(sys.lower.ravel()[1:], sys.diag.ravel(),
-                                    sys.upper.ravel()[:-1], sys.rhs.ravel())
+    shape = diag.shape
+    if len(shape) != 2 or shape[1] < 2 or any(
+            part.shape != shape for part in (lower, upper, rhs)):
+        raise ValueError(f"tridiagonal systems must be four (k, n) arrays "
+                         f"with n >= 2, got shapes {lower.shape}, {shape}, "
+                         f"{upper.shape}, {rhs.shape}")
+    _, _, _, x, info = lapack.dgtsv(lower.ravel()[1:], diag.ravel(),
+                                    upper.ravel()[:-1], rhs.ravel())
     if info > 0:
-        system, row = divmod(info - 1, n)
+        system, row = divmod(info - 1, shape[1])
         raise SingularSystemError(f"zero pivot at row {row} of system {system}")
     if info < 0:
         raise ValueError(f"invalid argument {-info} passed to tridiagonal solve")
     x = x.reshape(shape)
-    if x.ndim > 1 and len(x) > 1 and not np.isfinite(x).all():
-        x = np.stack([thomas_solve(TridiagonalSystem(
-            sys.lower[j], sys.diag[j], sys.upper[j], sys.rhs[j]))
-            for j in range(len(x))])
+    if len(x) > 1 and not np.isfinite(x).all():
+        x = np.concatenate([thomas_solve(lower[j:j + 1], diag[j:j + 1],
+                                         upper[j:j + 1], rhs[j:j + 1])
+                            for j in range(len(x))])
     return x
 
 
@@ -492,8 +479,8 @@ def step_backward(ops: SchemeOperators, dt: float, phi_next: np.ndarray,
     central = np.empty(phi_next.shape, dtype=bool)
     for iteration in range(1, policy.max_iter + 1):
         controls, jumps, stencil = _extract_controls(sub, phi, stencil)
-        phi_new = thomas_solve(assemble_system(sub, dt, controls, stencil[1],
-                                               jumps, rhs_next))
+        phi_new = thomas_solve(*assemble_system(sub, dt, controls, stencil[1],
+                                                jumps, rhs_next))
         change = np.abs(phi_new - phi).max(axis=1)
         settled = change <= policy.tol
         # written as "not within bound" so that a NaN change stops at once

@@ -4,6 +4,8 @@ runs never pay for them."""
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -57,11 +59,10 @@ def entropy_weight(spec):
     return np.asarray([[spec.nu1 / spec.psi1], [spec.nu2 / spec.psi2]])
 
 
-def controls_at(ops, q, lam, th1, th2):
+def controls_at(spec, mesh, q, lam, th1, th2):
     """A ControlField at the given controls, its drift and running-cost rows
-    evaluated from the spec's own coefficients at the nodes."""
-    spec = ops.specs[0]
-    x = ops.mesh.nodes
+    evaluated from the spec's own coefficients at the mesh nodes."""
+    x = mesh.nodes
     base_drift = spec.gamma1 - (spec.gamma0 + spec.gamma1) * x
     drift = controlled_drift(spec.sigma, base_drift,
                              np.asarray(spec.growth_a(x), dtype=float),
@@ -73,29 +74,33 @@ def controls_at(ops, q, lam, th1, th2):
                            theta2_star=th2, drift=drift, cost=cost)
 
 
-def reference_handoff(ops, controls, phi):
+def reference_handoff(spec, ops, controls, phi):
     """What assembly takes at the controls and lagged iterate phi, evaluated
-    from the spec's coefficients and the quadrature matrices: the controls
-    with their drift and running-cost rows, and the jumps (theta*, (W1 phi,
-    W2 phi)), stacked by jump kind."""
-    return (controls_at(ops, controls.q_star, controls.lambda_star,
+    from the spec's coefficients and the quadrature matrices of its
+    operators `ops`: the controls with their drift and running-cost rows,
+    and the jumps (theta*, (W1 phi, W2 phi)), stacked by jump kind."""
+    return (controls_at(spec, ops.mesh, controls.q_star, controls.lambda_star,
                         controls.theta1_star, controls.theta2_star),
             (np.stack((controls.theta1_star, controls.theta2_star)),
              np.stack((ops.quad_down.weights @ phi, ops.quad_up.weights @ phi))))
 
 
-def assemble_at(ops, dt, controls, phi_next, phi_lagged):
-    """The system `assemble_system` builds for a batch of one spec at the
+# the system `assemble_at` returns, with 1-D node rows
+System = namedtuple("System", "lower diag upper rhs")
+
+
+def assemble_at(spec, ops, dt, controls, phi_next, phi_lagged):
+    """The system `assemble_system` builds for the batch of one spec at the
     controls and the lagged iterate, from what `reference_handoff`
     evaluates; node rows in and out are 1-D."""
-    reference, (theta, expectations) = reference_handoff(ops, controls,
+    reference, (theta, expectations) = reference_handoff(spec, ops, controls,
                                                          phi_lagged)
     batch = rp.ControlField(*(row[None] for row in vars(reference).values()))
-    sys = assemble_system(ops, dt, batch,
-                          _central_mask(ops.two_d_dx, batch.drift),
-                          (theta[:, None], expectations[:, None]),
-                          phi_next[None] / dt)
-    return rp.TridiagonalSystem(*(row[0] for row in vars(sys).values()))
+    rows = assemble_system(ops, dt, batch,
+                           _central_mask(ops.two_d_dx, batch.drift),
+                           (theta[:, None], expectations[:, None]),
+                           phi_next[None] / dt)
+    return System(*(row[0] for row in rows))
 
 
 # The objective values the optimizers attain, which the step never reads:

@@ -167,7 +167,7 @@ def test_criterion_09_scheme_structure(bench_mesh, bench_solve_uncontrolled,
     # M-matrix structure (a violation raises); re-check one system explicitly
     phi = bench_solve_controlled.final_value
     ctrl = bench_solve_controlled.final_controls
-    sys = assemble_at(ops, BENCH_DT, ctrl, phi, phi)
+    sys = assemble_at(spec, ops, BENCH_DT, ctrl, phi, phi)
     off = np.abs(sys.lower) + np.abs(sys.upper)
     m_ok = (np.all(sys.lower <= 0.0) and np.all(sys.upper <= 0.0)
             and np.all(sys.diag >= 1.0 / BENCH_DT - 1e-9)

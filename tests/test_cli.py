@@ -115,11 +115,14 @@ def test_solver_and_oracle_defaults_are_the_library_defaults():
                     for name in SCALAR_FIELDS + ("q_grid_size",)})
     for key, value in library.items():
         assert (DEFAULTS[key], type(DEFAULTS[key])) == (value, type(value)), key
-    # the coefficients the default preset names and the jump knots are the
-    # spec's defaults too
-    resolved = resolve_config({})
-    for name, presets in COEFFICIENT_PRESETS.items():
-        assert presets[resolved["model." + name]] is getattr(spec, name), name
+    # the coefficients each preset names are its library spec's, and the
+    # jump knots are the spec's defaults too
+    for preset, library_spec in (("uncontrolled", spec),
+                                 ("controlled", make_paper_spec(True))):
+        resolved = resolve_config({"preset": preset})
+        for name, presets in COEFFICIENT_PRESETS.items():
+            assert (presets[resolved["model." + name]]
+                    is getattr(library_spec, name)), (preset, name)
     for key, density in (("model.jump1", spec.jump_density_1),
                          ("model.jump2", spec.jump_density_2)):
         assert DEFAULTS[key] == density.xs.tolist(), key

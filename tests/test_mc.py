@@ -9,7 +9,7 @@ from robpop.jump_ops import entropy_penalty
 from robpop.mc import SimConfig, make_jump_sampler
 from robpop.model import (tabulated, tabulated_density, tent_disutility,
                           uniform_density)
-from robpop.solver import ControlTable, build_scheme, running_cost
+from robpop.solver import ControlTable, running_cost
 
 from conftest import controls_at, entropy_weight
 
@@ -20,11 +20,11 @@ ONE_FN = tabulated([[0.0, 1.0], [1.0, 1.0]])
 def constant_table(spec, q=0.0, lam=0.0, th1=1.0, th2=1.0):
     """One control slice held over the whole horizon: a one-step time grid.
     Its drift and running-cost rows come from the spec's coefficients."""
-    ops = build_scheme(spec, rp.build_mesh(10))
-    one = np.ones(ops.mesh.n_nodes)
+    mesh = rp.build_mesh(10)
+    one = np.ones(mesh.n_nodes)
     grid = rp.build_time_grid(spec.horizon, spec.horizon)
-    return ControlTable(time_grid=grid, mesh=ops.mesh,
-                        levels=[controls_at(ops, q * one, lam * one,
+    return ControlTable(time_grid=grid, mesh=mesh,
+                        levels=[controls_at(spec, mesh, q * one, lam * one,
                                             th1 * one, th2 * one)])
 
 
@@ -52,6 +52,20 @@ def test_tabulated_density_sampling_mean(rng):
     density = tabulated_density([[0.2, 0.0], [0.5, 1.0], [0.8, 0.0]])
     draws = make_jump_sampler(density).sample(rng, 200_000)
     assert draws.mean() == pytest.approx(0.5, abs=2e-3)
+
+
+@pytest.mark.parametrize("ys", [[np.nan, 5.0], [5.0, np.inf]])
+@pytest.mark.parametrize("build", [
+    make_jump_sampler,
+    lambda density: rp.build_jump_quadrature(rp.build_mesh(10), density,
+                                             "down"),
+    lambda density: rp.build_jump_quadrature(rp.build_mesh(10), density, "up"),
+], ids=["sampler", "down", "up"])
+def test_nonfinite_jump_density_is_rejected(ys, build):
+    # validate_spec rejects these too, but simulate_value never calls it
+    density = rp.JumpDensity(xs=np.asarray([0.2, 0.4]), ys=np.asarray(ys))
+    with pytest.raises(ValueError, match="jump density must"):
+        build(density)
 
 
 # ---------------------------------------------------------------------------
