@@ -8,8 +8,8 @@ of the distorted dynamics.
 """
 
 from .grid import Mesh, TimeGrid, build_mesh, build_time_grid
-from .jump_ops import (JumpQuadrature, apply_nonlocal, block_quadrature,
-                       build_jump_quadrature, entropy_penalty)
+from .jump_ops import (JumpQuadrature, apply_nonlocal, build_jump_quadrature,
+                       entropy_penalty)
 from .local_ops import lambda_field, q_field
 from .mc import (JumpSampler, PathBatch, SimConfig, ValueEstimate,
                  make_jump_sampler, simulate_paths, simulate_value)
@@ -26,8 +26,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Mesh", "TimeGrid", "build_mesh", "build_time_grid",
-    "JumpQuadrature", "apply_nonlocal", "block_quadrature",
-    "build_jump_quadrature", "entropy_penalty",
+    "JumpQuadrature", "apply_nonlocal", "build_jump_quadrature",
+    "entropy_penalty",
     "lambda_field", "q_field",
     "JumpSampler", "PathBatch", "SimConfig", "ValueEstimate",
     "make_jump_sampler", "simulate_paths", "simulate_value",

@@ -151,24 +151,27 @@ def _lerp(row: tuple[np.ndarray, np.ndarray], idx: np.ndarray,
 
 def _level_rows(level: ControlField):
     """Running-cost, drift, theta1 and theta2 rows of one level, as the
-    solve stored them."""
-    return (_row("running cost", level.cost), _row("drift", level.drift),
+    solve stored them; each theta row comes with its thinning bound, the
+    row's largest node value, as (row, bound)."""
+    rows = (_row("running cost", level.cost), _row("drift", level.drift),
             _row("theta1", level.theta1_star), _row("theta2", level.theta2_star))
+    return rows[:2] + tuple((row, float(row[0].max())) for row in rows[2:])
 
 
-def _thin_jumps(rng, x, nu_dt, mesh, theta_row, sampler, kind, jumps,
+def _thin_jumps(rng, x, nu_dt, mesh, theta, sampler, kind, jumps,
                 candidates):
     """State-dependent jumps by thinning at nu * max(theta row).
 
-    `theta_row` is a slope-form row. Its interpolant exceeds the row's
-    largest node value by at most one ulp (at w = 1 the slope form need not
-    round to the next node value exactly), so that bound dominates theta(x)
-    and thinning at it is exact (Lewis & Shedler 1979); where the overshoot
-    occurs the acceptance test saturates and accepts. A zero row draws no
-    candidates. One Poisson total is split over uniformly chosen paths, and
-    candidates that land on the same path are applied in turn.
+    `theta` is a slope-form row and its largest node value, the bound, as
+    `_level_rows` gives them. The row's interpolant exceeds the bound by at
+    most one ulp (at w = 1 the slope form need not round to the next node
+    value exactly), so the bound dominates theta(x) and thinning at it is
+    exact (Lewis & Shedler 1979); where the overshoot occurs the acceptance
+    test saturates and accepts. A zero row draws no candidates. One Poisson
+    total is split over uniformly chosen paths, and candidates that land on
+    the same path are applied in turn.
     """
-    bound = float(theta_row[0].max())
+    theta_row, bound = theta
     pending = np.sort(rng.integers(x.size,
                                    size=rng.poisson(nu_dt * bound * x.size)))
     while pending.size:
@@ -224,16 +227,16 @@ def simulate_paths(spec: ProblemSpec, controls: ControlTable,
             # ergodic exit share one object, so their rows are built once
             if controls.levels[slice_of_step[k]] is not level:
                 level = controls.levels[slice_of_step[k]]
-                cost_row, drift_row, th1_row, th2_row = _level_rows(level)
+                cost_row, drift_row, theta1, theta2 = _level_rows(level)
             idx, w = mesh.locate(x)
             acc_cost += _lerp(cost_row, idx, w)
             noise = rng.standard_normal(n)
             x = np.clip(x + _lerp(drift_row, idx, w) * dt
                         + _lerp(diffusion, idx, w) * sqrt_dt * noise,
                         0.0, 1.0)
-            _thin_jumps(rng, x, spec.nu1 * dt, mesh, th1_row,
+            _thin_jumps(rng, x, spec.nu1 * dt, mesh, theta1,
                         sampler_down, "down", jumps_down, candidates)
-            _thin_jumps(rng, x, spec.nu2 * dt, mesh, th2_row,
+            _thin_jumps(rng, x, spec.nu2 * dt, mesh, theta2,
                         sampler_up, "up", jumps_up, candidates)
             np.clip(x, 0.0, 1.0, out=x)
             np.minimum(x_min, x, out=x_min)

@@ -22,11 +22,11 @@ local parts nu theta phi stay implicit.
 
 The step works on a batch of k specs that share the mesh, the time grid and
 both jump quadratures: each node row is a (k, n) array, one row per spec.
-One policy iteration serves all k, with one sparse mat-vec for both jump
-kinds and one tridiagonal solve of the k systems laid end to end. A spec
-leaves the iteration once its slice has converged and leaves the march at
-its ergodic exit, so every result is bitwise what solving its spec alone
-gives; `solve_backward(spec)` is the batch of one.
+One policy iteration serves all k, with one mat-vec per spec with the one
+stacked W (W1's rows, then W2's) and one tridiagonal solve of the k systems
+laid end to end. A spec leaves the iteration once its slice has converged
+and leaves the march at its ergodic exit, so every result is bitwise what
+solving its spec alone gives; `solve_backward(spec)` is the batch of one.
 
 In the ergodic regime Phi(t, x) = w(x) + E (T - t) up to a vanishing error,
 so once the per-node estimate of E has settled every further step only adds
@@ -41,12 +41,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import lapack
 
 from .grid import Mesh, TimeGrid
 from .jump_ops import (N_QUAD, JumpQuadrature, apply_nonlocal,
-                       block_quadrature, build_jump_quadrature,
-                       entropy_penalty)
+                       build_jump_quadrature, entropy_penalty)
 from .local_ops import lambda_field, q_candidates, q_field
 from .model import ProblemSpec, validate_spec
 
@@ -157,14 +157,14 @@ class SchemeOperators:
     scalar a (k, 1) column, a scalar per jump kind (2, k, 1) and a q
     candidate table (k, m) per part, so `subset` slices them all alike. The
     rows the step reads on every iterate are built here, once per solve.
+    The one jump matrix `jumps` is not stacked: every spec's field gets its
+    own mat-vec with it, and every subset shares it.
     """
 
     index: tuple[int, ...]      # each spec's position in the batch built
     batch_size: int             # the number of specs in the batch built
     mesh: Mesh
-    quad_down: JumpQuadrature
-    quad_up: JumpQuadrature
-    jumps: JumpQuadrature       # W1 for each spec, then W2 for each spec
+    jumps: JumpQuadrature       # W1's rows, then W2's: (2n, n)
     a_vals: np.ndarray
     f_vals: np.ndarray
     base_drift: np.ndarray      # gamma1 - (gamma0 + gamma1) x
@@ -182,28 +182,16 @@ class SchemeOperators:
     neg_d_dx2: np.ndarray       # -D / dx^2
     two_d_dx2: np.ndarray       # 2 D / dx^2
     two_d_dx: np.ndarray        # 2 D / dx, the central-stencil bound on |b|
-    _subsets: dict = field(default_factory=dict, repr=False)
-    _blocks: dict = field(default_factory=dict, repr=False)
 
     def subset(self, positions) -> SchemeOperators:
-        """The operators of the specs at `positions` of this batch, built
-        once per subset and then cached."""
-        index = tuple(self.index[p] for p in positions)
-        found = self._subsets.get(index)
-        if found is None:
-            if len(index) not in self._blocks:
-                self._blocks[len(index)] = block_quadrature(
-                    (self.quad_down, self.quad_up), len(index))
-            found = self._subsets[index] = replace(
-                self, index=index, jumps=self._blocks[len(index)],
-                **{f.name: _take(getattr(self, f.name), positions)
-                   for f in fields(self) if f.name not in _SHARED})
-        return found
+        """The operators of the specs at `positions` of this batch."""
+        return replace(self, index=tuple(self.index[p] for p in positions),
+                       **{f.name: _take(getattr(self, f.name), positions)
+                          for f in fields(self) if f.name not in _SHARED})
 
 
 # the fields of SchemeOperators that are not stacked over the specs
-_SHARED = ("index", "batch_size", "mesh", "quad_down", "quad_up",
-           "jumps", "_subsets", "_blocks")
+_SHARED = ("index", "batch_size", "mesh", "jumps")
 
 
 def _take(value, positions):
@@ -277,14 +265,12 @@ def build_scheme(specs, mesh: Mesh, n_quad: int = N_QUAD) -> SchemeOperators:
     quad_up = build_jump_quadrature(mesh, specs[0].jump_density_2, "up",
                                     n_quad)
     two_d_dx = 2.0 * diffusion / dx
-    jumps = block_quadrature((quad_down, quad_up), len(specs))
-    ops = SchemeOperators(
+    return SchemeOperators(
         index=tuple(range(len(specs))),
         batch_size=len(specs),
         mesh=mesh,
-        quad_down=quad_down,
-        quad_up=quad_up,
-        jumps=jumps,
+        jumps=JumpQuadrature(weights=sp.vstack(
+            (quad_down.weights, quad_up.weights), format="csr")),
         a_vals=np.stack(a_vals),
         f_vals=np.stack([np.asarray(s.disutility_f(x), dtype=float)
                          for s in specs]),
@@ -305,10 +291,7 @@ def build_scheme(specs, mesh: Mesh, n_quad: int = N_QUAD) -> SchemeOperators:
         neg_d_dx2=-d_dx2,
         two_d_dx2=2.0 * d_dx2,
         two_d_dx=two_d_dx,
-        _blocks={len(specs): jumps},
     )
-    ops._subsets[ops.index] = ops
-    return ops
 
 
 def _central_mask(two_d_dx: np.ndarray, drift: np.ndarray) -> np.ndarray:

@@ -82,7 +82,13 @@ def reference_handoff(spec, ops, controls, phi):
     return (controls_at(spec, ops.mesh, controls.q_star, controls.lambda_star,
                         controls.theta1_star, controls.theta2_star),
             (np.stack((controls.theta1_star, controls.theta2_star)),
-             np.stack((ops.quad_down.weights @ phi, ops.quad_up.weights @ phi))))
+             np.stack([w @ phi for w in jump_matrices(ops)])))
+
+
+def jump_matrices(ops):
+    """(W1, W2): the two halves of the operators' one jump matrix."""
+    weights, n = ops.jumps.weights, ops.mesh.n_nodes
+    return weights[:n], weights[n:]
 
 
 # the system `assemble_at` returns, with 1-D node rows

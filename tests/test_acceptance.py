@@ -16,7 +16,8 @@ import robpop as rp
 from robpop.model import tabulated, zero_rate
 from robpop.solver import build_scheme, solve_many
 
-from conftest import BENCH_DT, BENCH_N_CELLS, assemble_at, nonlocal_at
+from conftest import (BENCH_DT, BENCH_N_CELLS, assemble_at, jump_matrices,
+                      nonlocal_at)
 
 F_MAX = 1.0  # max of the tent disutility
 HORIZON = 50.0
@@ -159,8 +160,8 @@ def test_criterion_09_scheme_structure(bench_mesh, bench_solve_uncontrolled,
     spec = rp.make_paper_spec(True)
     ops = build_scheme(spec, bench_mesh)
     quad_ok = True
-    for quad in (ops.quad_down, ops.quad_up):
-        dense = quad.weights.toarray()
+    for weights in jump_matrices(ops):
+        dense = weights.toarray()
         quad_ok &= dense.min() >= 0.0
         quad_ok &= bool(np.max(np.abs(dense.sum(axis=1) - 1.0)) <= 1e-12)
     # every assembly during both benchmark solves already self-checks the

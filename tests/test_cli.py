@@ -299,6 +299,42 @@ def test_bench_pairs_alternates_sides_and_counts_wins(tmp_path, monkeypatch):
     assert row["gap_exceeds_parent_spread"] is False
 
 
+def test_bench_pairs_summary_counts_ties_and_judges_bound_and_spread():
+    script = load_bench_pairs()
+    # workload -> metric -> (parent runs, change runs), pair by pair
+    runs = {"a": {"wall_s": ([1.0, 2.0, 3.0, 4.0, 5.0],
+                             [0.5, 2.0, 3.5, 3.0, 4.0]),
+                  "peak_rss_mb": ([10.0] * 5, [9.0, 9.0, 9.0, 9.0, 11.0])},
+            "b": {"wall_s": ([2.0] * 5, [2.5] * 5),
+                  "peak_rss_mb": ([10.0] * 5, [11.5] * 5)}}
+    pairs = [{side: {workload: {"metrics": {
+                 metric: {"value": values[k][i]}
+                 for metric, values in metrics.items()}}
+                 for workload, metrics in runs.items()}
+              for k, side in enumerate(("parent", "change"))}
+             for i in range(5)]
+    summary = script.summarize(pairs, {"wall_s": 0.25, "peak_rss_mb": 0.1})
+
+    def verdicts(row):
+        return (row["change_wins"], row["change_losses"], row["pairs"],
+                row["within_bound"], row["gap_exceeds_parent_spread"])
+
+    row = summary["a"]["wall_s"]
+    # one tie (2.0 against 2.0) counts for neither side; equal medians
+    assert verdicts(row) == (3, 1, 5, True, False)
+    assert (row["parent"]["q1"], row["parent"]["median"],
+            row["parent"]["q3"]) == pytest.approx((1.5, 3.0, 4.5))
+    assert row["ratio_of_medians"] == pytest.approx(1.0)
+    # a zero parent spread: any gap between the medians exceeds it
+    assert verdicts(summary["a"]["peak_rss_mb"]) == (4, 1, 5, True, True)
+    # the bound is inclusive: 2.5 is the parent's 2.0 times 1.25
+    assert verdicts(summary["b"]["wall_s"]) == (0, 5, 5, True, True)
+    assert summary["b"]["wall_s"]["bound"] == 0.25
+    assert verdicts(summary["b"]["peak_rss_mb"]) == (0, 5, 5, False, True)
+    assert summary["b"]["peak_rss_mb"]["ratio_of_medians"] == pytest.approx(
+        1.15)
+
+
 def test_bench_pairs_keeps_each_result_under_its_workload(monkeypatch):
     script = load_bench_pairs()
     requested = []

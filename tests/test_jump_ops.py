@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import xlogy
 
 from robpop.grid import build_mesh
-from robpop.jump_ops import (JumpQuadrature, apply_nonlocal, block_quadrature,
+from robpop.jump_ops import (JumpQuadrature, apply_nonlocal,
                              build_jump_quadrature, entropy_penalty)
 from robpop.model import tabulated_density, uniform_density
 
@@ -124,18 +124,32 @@ def test_nonlocal_rejects_bad_psi(mesh):
                        theta_max=100.0)
 
 
-def test_block_quadrature_is_each_quadrature_on_each_field(mesh):
-    # rows of W are not sorted by column; the block keeps their order, so
-    # every expectation is bitwise its own quadrature's
+def test_apply_nonlocal_on_a_batch_is_each_field_alone(mesh):
+    # rows of W are not sorted by column; stacking keeps their order, so
+    # every field of a batch gets bitwise what it gets alone and each jump
+    # kind's gap is bitwise its own quadrature's
     quads = [build_jump_quadrature(mesh, uniform_density(0.1, 0.9), kind)
              for kind in ("down", "up")]
     assert not quads[0].weights.has_sorted_indices
+    jumps = JumpQuadrature(weights=sp.vstack([q.weights for q in quads],
+                                             format="csr"))
     phi = np.random.default_rng(5).uniform(0.0, 3.0, (3, mesh.n_nodes))
-    block = block_quadrature(quads, 3)
-    out = (block.weights @ phi.ravel()).reshape(2, 3, mesh.n_nodes)
-    for kind, quad in enumerate(quads):
-        for j in range(3):
-            assert np.array_equal(out[kind, j], quad.weights @ phi[j])
+    psi = np.asarray([[[0.5], [1.0], [2.0]], [[1.0], [0.25], [0.5]]])
+    theta_max = np.asarray([[100.0], [1.5], [50.0]])
+    delta, theta = apply_nonlocal(jumps, phi, psi, theta_max)
+    assert delta.shape == theta.shape == (2, 3, mesh.n_nodes)
+    for j in range(3):
+        alone = apply_nonlocal(jumps, phi[j], psi[:, j], theta_max[j])
+        assert alone[0].shape == (2, mesh.n_nodes)
+        assert np.array_equal(delta[:, j], alone[0])
+        assert np.array_equal(theta[:, j], alone[1])
+        one = apply_nonlocal(jumps, phi[j:j + 1], psi[:, j:j + 1],
+                             theta_max[j:j + 1])
+        assert np.array_equal(delta[:, j:j + 1], one[0])
+        assert np.array_equal(theta[:, j:j + 1], one[1])
+        for kind, quad in enumerate(quads):
+            assert np.array_equal(delta[kind, j],
+                                  phi[j] - quad.weights @ phi[j])
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -613,8 +615,7 @@ def test_batch_of_q_tables_of_different_lengths(record_controls):
 
 
 # the fields of SchemeOperators that are not stacked over the specs
-SHARED_FIELDS = ("index", "batch_size", "mesh", "quad_down", "quad_up",
-                 "jumps", "_subsets", "_blocks")
+SHARED_FIELDS = ("index", "batch_size", "mesh", "jumps")
 
 
 def test_a_subset_is_the_batch_of_its_specs():
@@ -625,6 +626,7 @@ def test_a_subset_is_the_batch_of_its_specs():
     for size in range(1, len(specs) + 1):
         for positions in itertools.combinations(range(len(specs)), size):
             got = ops.subset(positions)
+            assert got.jumps is ops.jumps
             fresh = build_scheme([specs[i] for i in positions], mesh)
             for name in per_spec:
                 mine, theirs = getattr(got, name), getattr(fresh, name)
@@ -638,6 +640,18 @@ def test_a_subset_is_the_batch_of_its_specs():
             assert w.shape == w_fresh.shape
             for part in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(w, part), getattr(w_fresh, part))
+
+
+def test_operators_are_freed_without_the_cycle_collector():
+    ops = build_scheme(batch_specs(), rp.build_mesh(30))
+    sub = ops.subset((0, 2))
+    refs = (weakref.ref(ops), weakref.ref(sub))
+    gc.disable()
+    try:
+        del ops, sub
+        assert [ref() is None for ref in refs] == [True, True]
+    finally:
+        gc.enable()
 
 
 def test_empty_batch_solves_nothing():
