@@ -118,13 +118,12 @@ def make_jump_sampler(density: JumpDensity) -> JumpSampler:
     """Inverse-CDF sampler on a fine grid (exact for uniform densities)."""
     zs = np.linspace(density.xs[0], density.xs[-1], JUMP_CDF_NODES)
     pdf = density(zs)
-    # written as "not within bound" so that NaN and inf fail
-    if not np.all(pdf >= 0.0):
-        raise ValueError("jump density must be nonnegative")
     increments = 0.5 * (pdf[1:] + pdf[:-1]) * np.diff(zs)
     cdf = np.concatenate(([0.0], np.cumsum(increments)))
-    if not 0.0 < cdf[-1] < np.inf:
-        raise ValueError("jump density must have positive mass")
+    # a valid density can still vanish at every node of the grid
+    if not 0.0 < cdf[-1]:
+        raise ValueError("the sampler's CDF grid carries no mass of the "
+                         "jump density")
     return JumpSampler(zs=zs, cdf=cdf / cdf[-1])
 
 

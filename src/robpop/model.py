@@ -10,7 +10,8 @@ The field defaults are the paper's uncontrolled benchmark, and
 
 A jump-size density is one type, a piecewise-linear table of mass one on a
 support strictly inside (0, 1); uniform densities are its two-knot case.
-Validation checks such a table exactly at its knots, without sampling it.
+The type checks its table exactly at its knots when it is built, so every
+`JumpDensity` that exists is valid and nothing downstream checks it again.
 """
 
 from __future__ import annotations
@@ -81,6 +82,9 @@ def tabulated(points) -> TabulatedFunction:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise ValueError("tabulated coefficient needs at least two (x, value) pairs")
+    # written as "not within bound" so that NaN fails
+    if not np.all(np.abs(pts) < np.inf):
+        raise ValueError("tabulated coefficient samples must be finite")
     order = np.argsort(pts[:, 0])
     return TabulatedFunction(xs=pts[order, 0], ys=pts[order, 1])
 
@@ -93,8 +97,27 @@ def tabulated(points) -> TabulatedFunction:
 class JumpDensity(TabulatedFunction):
     """Jump-size density: a piecewise-linear table (xs, ys) of mass one.
 
-    Its support is [xs[0], xs[-1]], strictly inside (0, 1).
+    Construction checks the table: it has one value per knot, its knots
+    ascend, its support [xs[0], xs[-1]] lies strictly inside (0, 1), its
+    knot values are finite and nonnegative, and its trapezoid mass, exact
+    for the table, is within 1e-10 of one. These keep the quadrature weights
+    finite and nonnegative, which the scheme's monotonicity rests on.
     """
+
+    def __post_init__(self):
+        xs, ys = self.xs, self.ys
+        # each check is written as "not within bound" so that NaN fails
+        if not (np.shape(xs) == np.shape(ys) and 0.0 < xs[0] < xs[-1] < 1.0
+                and np.all(np.diff(xs) >= 0.0)):
+            raise ValueError("jump density needs one value per knot, knots "
+                             "that ascend, and support 0 < lo < hi < 1")
+        if not np.all((ys >= 0.0) & (ys < np.inf)):
+            raise ValueError("jump density must have finite nonnegative knot "
+                             "values")
+        mass = np.trapezoid(ys, xs)
+        if not abs(mass - 1.0) <= 1e-10:
+            raise ValueError(f"jump density mass is {mass:.15g}, expected 1 "
+                             f"within 1e-10")
 
 
 def uniform_density(lo: float = 0.1, hi: float = 0.9) -> JumpDensity:
@@ -109,19 +132,12 @@ def uniform_density(lo: float = 0.1, hi: float = 0.9) -> JumpDensity:
 def tabulated_density(points) -> JumpDensity:
     """Piecewise-linear density through (z, weight) samples, normalized to mass one."""
     fn = tabulated(points)
-    if not (0.0 < fn.xs[0] < fn.xs[-1] < 1.0):
-        raise ValueError("density support must satisfy 0 < lo < hi < 1")
-    if np.any(fn.ys < 0.0):
-        raise ValueError("density samples must be nonnegative")
     mass = np.trapezoid(fn.ys, fn.xs)
-    if mass <= 0.0:
-        raise ValueError("density must have positive mass")
+    # the precondition of the division; JumpDensity checks the rest
+    if not 0.0 < mass < np.inf:
+        raise ValueError(f"density table mass must be positive and finite, "
+                         f"got {mass:.15g}")
     return JumpDensity(xs=fn.xs, ys=fn.ys / mass)
-
-
-def density_mass(density: JumpDensity) -> float:
-    """Mass of the table; the trapezoid rule is exact for piecewise-linear."""
-    return float(np.trapezoid(density.ys, density.xs))
 
 
 # ---------------------------------------------------------------------------
@@ -179,19 +195,6 @@ _MAY_BE_ZERO = ("sigma", "gamma0", "gamma1", "nu1", "nu2")
 _N_SAMPLES = 201
 
 
-def _check_density(name: str, density: JumpDensity, out: list[str]) -> None:
-    xs, ys = density.xs, density.ys
-    if not (0.0 < xs[0] < xs[-1] < 1.0 and np.all(np.diff(xs) >= 0.0)):
-        out.append(f"{name}: knots must ascend with support 0 < lo < hi < 1")
-        return
-    if not np.all((ys >= 0.0) & np.isfinite(ys)):
-        out.append(f"{name}: density must be finite and nonnegative at its knots")
-        return
-    mass = density_mass(density)
-    if abs(mass - 1.0) > 1e-10:
-        out.append(f"{name}: density mass is {mass:.15g}, expected 1 within 1e-10")
-
-
 def _sample_points(fn: Coefficient, lo: float, hi: float) -> np.ndarray:
     """Even samples of [lo, hi], plus a table's knots inside it.
 
@@ -242,6 +245,7 @@ def validate_spec(spec: ProblemSpec) -> list[str]:
                                              dtype=float))):
             v.append("controlled growth rate must be finite on [0, q_max]")
 
-    _check_density("jump_density_1", spec.jump_density_1, v)
-    _check_density("jump_density_2", spec.jump_density_2, v)
+    v += [f"{name} must be a JumpDensity"
+          for name in ("jump_density_1", "jump_density_2")
+          if not isinstance(getattr(spec, name), JumpDensity)]
     return v

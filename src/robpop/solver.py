@@ -534,8 +534,7 @@ def solve_many(specs, mesh: Mesh, time_grid: TimeGrid,
                policy: PolicyConfig = PolicyConfig(),
                snapshot_times: tuple[float, ...] = (),
                n_quad: int = N_QUAD,
-               record_controls: bool = False,
-               validate: bool = True) -> list[SolveResult]:
+               record_controls: bool = False) -> list[SolveResult]:
     """March the terminal condition Phi(T, .) = 0 of every spec back to t = 0,
     as one batch in this process.
 
@@ -550,17 +549,16 @@ def solve_many(specs, mesh: Mesh, time_grid: TimeGrid,
     ergodic report always comes from the last two marched slices. Each
     result is bitwise what solving its spec alone gives. `record_controls`
     keeps the control fields of every level (memory scales with n_steps;
-    intended for short horizons, e.g. the Monte Carlo cross-check).
-    `validate=False` admits deliberately degenerate configurations (such as
-    zero growth everywhere) used as analytic checks. A failure names the
-    spec by its index in `specs` (`spec_index` of the error).
+    intended for short horizons, e.g. the Monte Carlo cross-check). Every
+    spec must pass `validate_spec`. A failure names the spec by its index in
+    `specs` (`spec_index` of the error).
     """
     specs = tuple(specs)
     if not specs:
         return []
     for i, spec in enumerate(specs):
         which = f" {i}" if len(specs) > 1 else ""
-        violations = validate_spec(spec) if validate else []
+        violations = validate_spec(spec)
         if violations:
             raise ValueError(f"invalid problem spec{which}:\n"
                              + "\n".join(violations))
@@ -653,9 +651,8 @@ def solve_backward(spec: ProblemSpec, mesh: Mesh, time_grid: TimeGrid,
                    policy: PolicyConfig = PolicyConfig(),
                    snapshot_times: tuple[float, ...] = (),
                    n_quad: int = N_QUAD,
-                   record_controls: bool = False,
-                   validate: bool = True) -> SolveResult:
+                   record_controls: bool = False) -> SolveResult:
     """One spec's solve: `solve_many` on the batch of one."""
     return solve_many([spec], mesh, time_grid, policy=policy,
                       snapshot_times=snapshot_times, n_quad=n_quad,
-                      record_controls=record_controls, validate=validate)[0]
+                      record_controls=record_controls)[0]

@@ -13,7 +13,7 @@ from dataclasses import replace
 from scipy.special import xlogy
 
 import robpop as rp
-from robpop.model import tabulated, zero_rate
+from robpop.model import zero_rate
 from robpop.solver import build_scheme, solve_many
 
 from conftest import (BENCH_DT, BENCH_N_CELLS, assemble_at, jump_matrices,
@@ -43,12 +43,12 @@ def test_criterion_01_value_bounds(bench_solve_uncontrolled):
 
 
 def test_criterion_02_degenerate_analytic_solve():
-    zero_fn = tabulated([[0.0, 0.0], [1.0, 0.0]])
-    spec = replace(rp.make_paper_spec(False), gamma0=0.0, gamma1=0.0,
-                   nu1=0.0, nu2=0.0, growth_a=zero_fn, horizon=1.0)
+    # no noise, growth rate, migration or jumps: -phi_t = f
+    spec = replace(rp.make_paper_spec(False), sigma=0.0, gamma0=0.0,
+                   gamma1=0.0, nu1=0.0, nu2=0.0, growth_rate_r=zero_rate,
+                   horizon=1.0)
     mesh = rp.build_mesh(200)
-    result = rp.solve_backward(spec, mesh, rp.build_time_grid(1.0, 0.005),
-                               validate=False)
+    result = rp.solve_backward(spec, mesh, rp.build_time_grid(1.0, 0.005))
     expected = np.asarray(spec.disutility_f(mesh.nodes), dtype=float)
     gap = float(np.max(np.abs(result.final_value - expected)))
     _report(2, gap <= 1e-10,

@@ -27,6 +27,15 @@ TINY = ("preset = 'uncontrolled'; model.horizon = 0.5; "
         "mesh.n_cells = 30; time.dt = 0.01")
 
 
+def load_script(relative_path):
+    """Import a repository script that is not part of the package, by path."""
+    path = ROOT / relative_path
+    module_spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module
+
+
 def run_cli(tmp_path, text, name="run", extra=()):
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(text.replace("; ", "\n") + "\n")
@@ -134,15 +143,28 @@ def test_solver_and_oracle_defaults_are_the_library_defaults():
         | {"model.jump1", "model.jump2"})
 
 
+def test_every_name_the_benchmark_tracer_wraps_resolves():
+    # a traced run only reports a lost name absent and drops its metrics,
+    # so a rename in the library must fail here instead
+    layers = load_script("perfbench/layers.py")
+    unresolved = []
+    for owner, attr, _ in (layers.KERNELS + layers.ENTRY_POINTS
+                           + (("robpop.cli", "build_spec", None),)):
+        module_name, _, class_name = owner.partition(":")
+        holder = importlib.import_module(module_name)
+        if class_name:
+            holder = getattr(holder, class_name, None)
+        if not hasattr(holder, attr):
+            unresolved.append(f"{owner}.{attr}")
+    assert unresolved == []
+
+
 def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
     # perfbench/layers.py wraps library names by string; a name the library
     # drops, or a signature its per-call extras no longer read, makes a
     # traced benchmark run report it absent and lose its metrics while still
     # exiting 0
-    module_spec = importlib.util.spec_from_file_location(
-        "layers", ROOT / "perfbench" / "layers.py")
-    layers = importlib.util.module_from_spec(module_spec)
-    module_spec.loader.exec_module(layers)
+    layers = load_script("perfbench/layers.py")
     tracer = layers.Tracer(kernels=True)
     tracer.install()
     try:
@@ -220,10 +242,7 @@ def test_shipped_config_resolves_to_a_valid_spec(path):
 @pytest.mark.parametrize("flags", [[], ["--quick"]])
 def test_run_experiments_runs_every_shipped_config(tmp_path, monkeypatch,
                                                    flags):
-    module_spec = importlib.util.spec_from_file_location(
-        "run_experiments", ROOT / "scripts" / "run_experiments.py")
-    script = importlib.util.module_from_spec(module_spec)
-    module_spec.loader.exec_module(script)
+    script = load_script("scripts/run_experiments.py")
     runs = []
 
     def record(cfg, out, quiet=False):
@@ -243,16 +262,8 @@ def test_run_experiments_runs_every_shipped_config(tmp_path, monkeypatch,
         assert validate_spec(build_spec(cfg)) == []
 
 
-def load_bench_pairs():
-    module_spec = importlib.util.spec_from_file_location(
-        "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
-    script = importlib.util.module_from_spec(module_spec)
-    module_spec.loader.exec_module(script)
-    return script
-
-
 def test_bench_pairs_alternates_sides_and_counts_wins(tmp_path, monkeypatch):
-    script = load_bench_pairs()
+    script = load_script("scripts/bench_pairs.py")
     calls = []
 
     def fake_run_all(root, trace):
@@ -300,7 +311,7 @@ def test_bench_pairs_alternates_sides_and_counts_wins(tmp_path, monkeypatch):
 
 
 def test_bench_pairs_summary_counts_ties_and_judges_bound_and_spread():
-    script = load_bench_pairs()
+    script = load_script("scripts/bench_pairs.py")
     # workload -> metric -> (parent runs, change runs), pair by pair
     runs = {"a": {"wall_s": ([1.0, 2.0, 3.0, 4.0, 5.0],
                              [0.5, 2.0, 3.5, 3.0, 4.0]),
@@ -336,7 +347,7 @@ def test_bench_pairs_summary_counts_ties_and_judges_bound_and_spread():
 
 
 def test_bench_pairs_keeps_each_result_under_its_workload(monkeypatch):
-    script = load_bench_pairs()
+    script = load_script("scripts/bench_pairs.py")
     requested = []
 
     def fake_run(cmd, cwd, **kwargs):

@@ -54,17 +54,34 @@ def test_tabulated_density_sampling_mean(rng):
     assert draws.mean() == pytest.approx(0.5, abs=2e-3)
 
 
-@pytest.mark.parametrize("ys", [[np.nan, 5.0], [5.0, np.inf]])
-@pytest.mark.parametrize("build", [
+# the sampler and both quadratures: every reader of a jump density
+EACH_DENSITY_READER = pytest.mark.parametrize("build", [
     make_jump_sampler,
     lambda density: rp.build_jump_quadrature(rp.build_mesh(10), density,
                                              "down"),
     lambda density: rp.build_jump_quadrature(rp.build_mesh(10), density, "up"),
 ], ids=["sampler", "down", "up"])
+
+
+@pytest.mark.parametrize("ys", [[np.nan, 5.0], [5.0, np.inf]])
+@EACH_DENSITY_READER
 def test_nonfinite_jump_density_is_rejected(ys, build):
-    # validate_spec rejects these too, but simulate_value never calls it
-    density = rp.JumpDensity(xs=np.asarray([0.2, 0.4]), ys=np.asarray(ys))
-    with pytest.raises(ValueError, match="jump density must"):
+    # the table raises when it is built, so neither the sampler nor a
+    # quadrature is ever handed it
+    with pytest.raises(ValueError, match="finite nonnegative knot values"):
+        build(rp.JumpDensity(xs=np.asarray([0.2, 0.4]), ys=np.asarray(ys)))
+
+
+@EACH_DENSITY_READER
+def test_a_grid_that_misses_the_density_is_rejected(build):
+    # a valid density whose mass lies in [0.50005, 0.50015]: between two
+    # nodes of the sampler's CDF grid (spacing 0.8/4096, nodes at 0.5 and
+    # 0.50020) and between two of the 64 quadrature points (0.49375, 0.50625)
+    density = tabulated_density([[0.1, 0.0], [0.50005, 0.0], [0.5001, 1.0],
+                                 [0.50015, 0.0], [0.9, 0.0]])
+    assert rp.validate_spec(replace(rp.make_paper_spec(False),
+                                    jump_density_1=density)) == []
+    with pytest.raises(ValueError, match="carr(y|ies) no mass"):
         build(density)
 
 

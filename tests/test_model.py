@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robpop.grid import build_mesh, build_time_grid
-from robpop.model import (JumpDensity, density_mass, make_paper_spec,
+from robpop.model import (JumpDensity, TabulatedFunction, make_paper_spec,
                           tabulated, tabulated_density, uniform_density,
                           validate_spec)
 from robpop.solver import solve_backward
@@ -68,7 +68,9 @@ def test_validation_flags_negative_disutility():
     ("nu1", float("inf"), "nu1"),
     ("horizon", float("nan"), "horizon"),
     ("q_grid_size", 2.5, "q_grid_size"),
-    ("disutility_f", tabulated([[0.0, float("inf")], [1.0, 1.0]]), "disutility"),
+    ("disutility_f", TabulatedFunction(xs=np.asarray([0.0, 1.0]),
+                                       ys=np.asarray([np.inf, 1.0])),
+     "disutility"),
 ])
 def test_validation_flags_nonfinite_and_noninteger_values(field, value, named):
     violations = validate_spec(replace(make_paper_spec(False), **{field: value}))
@@ -85,12 +87,14 @@ def test_validation_collects_multiple_violations():
 @given(lo=st.floats(0.01, 0.5), width=st.floats(0.01, 0.49))
 def test_uniform_density_mass_is_one(lo, width):
     density = uniform_density(lo, min(lo + width, 0.99))
-    assert density_mass(density) == pytest.approx(1.0, abs=1e-12)
+    assert np.trapezoid(density.ys, density.xs) == pytest.approx(1.0,
+                                                                 abs=1e-12)
 
 
 def test_tabulated_density_is_normalized():
     density = tabulated_density([[0.2, 1.0], [0.5, 3.0], [0.8, 0.5]])
-    assert density_mass(density) == pytest.approx(1.0, abs=1e-10)
+    assert np.trapezoid(density.ys, density.xs) == pytest.approx(1.0,
+                                                                 abs=1e-10)
     assert validate_spec(
         replace(make_paper_spec(False), jump_density_1=density)) == []
 
@@ -110,13 +114,50 @@ def test_tabulated_density_rejects_bad_support():
     ([0.3, 0.3], [1.0, 1.0], "support"),                # a point mass
     ([0.0, 0.5], [2.0, 2.0], "support"),
     ([0.2, 0.6, 0.4], [2.5, 2.5, 2.5], "ascend"),
+    ([0.2, 0.3, 0.4], [5.0, 5.0], "one value per knot"),
 ])
 def test_validation_flags_bad_density_table(xs, ys, named):
-    density = JumpDensity(xs=np.asarray(xs), ys=np.asarray(ys))
-    violations = validate_spec(replace(make_paper_spec(False),
-                                       jump_density_2=density))
-    assert [v for v in violations
-            if v.startswith("jump_density_2") and named in v]
+    # a density checks its table when it is built, so no spec can hold one
+    # that breaks the rule
+    with pytest.raises(ValueError, match=named):
+        JumpDensity(xs=np.asarray(xs), ys=np.asarray(ys))
+
+
+def test_validation_flags_a_density_field_that_is_not_a_density():
+    table = tabulated([[0.2, 5.0], [0.4, 5.0]])     # mass one, but no density
+    assert validate_spec(replace(make_paper_spec(False),
+                                 jump_density_2=table)) == [
+        "jump_density_2 must be a JumpDensity"]
+
+
+@st.composite
+def point_tables(draw):
+    """Up to six (z, weight) points, at most two of whose values are
+    replaced by NaN, inf, a negative, zero, tiny or huge number, or 0.3 (so
+    knots may coincide)."""
+    points = draw(st.lists(st.tuples(st.floats(0.01, 0.99),
+                                     st.floats(0.0, 10.0)).map(list),
+                           max_size=6))
+    odd = st.one_of(st.floats(), st.sampled_from(
+        [np.nan, np.inf, -np.inf, -1.0, 0.0, 0.3, 1e-300, 1e300]))
+    for _ in range(draw(st.integers(0, 2)) if points else 0):
+        point = draw(st.sampled_from(points))
+        point[draw(st.integers(0, 1))] = draw(odd)
+    return points
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=point_tables())
+@example(points=[[0.1, np.nan], [0.9, 1.0]])
+@example(points=[[0.1, np.inf], [0.9, 1.0]])
+def test_tabulated_density_is_valid_or_raises(points):
+    try:
+        with np.errstate(over="ignore"):
+            density = tabulated_density(points)
+    except ValueError:
+        return
+    assert np.all((density.ys >= 0.0) & np.isfinite(density.ys))
+    assert abs(np.trapezoid(density.ys, density.xs) - 1.0) <= 1e-10
 
 
 @pytest.mark.parametrize("field, points, named", [
@@ -154,6 +195,16 @@ def test_validation_flags_nonfinite_growth_rate():
 def test_tabulated_sorts_samples():
     fn = tabulated([[1.0, 2.0], [0.0, 0.0], [0.5, 1.0]])
     assert float(fn(0.25)) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("points", [
+    [[0.0, 1.0], [np.nan, 2.0], [1.0, 0.0]],
+    [[0.0, 1.0], [0.5, np.inf], [1.0, 0.0]],
+    [[0.0, 1.0], [1.0, -np.inf]],
+])
+def test_tabulated_rejects_nonfinite_samples(points):
+    with pytest.raises(ValueError, match="finite"):
+        tabulated(points)
 
 
 def test_spec_q_grid_endpoints():

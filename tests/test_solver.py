@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 from dataclasses import fields, replace
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import robpop as rp
@@ -240,9 +240,11 @@ def test_extraction_hands_assembly_what_it_would_evaluate():
 # ---------------------------------------------------------------------------
 
 def degenerate_spec(f_fn):
-    # no growth, no migration, no jumps: the equation reduces to -phi_t = f
-    return replace(rp.make_paper_spec(False), gamma0=0.0, gamma1=0.0,
-                   nu1=0.0, nu2=0.0, growth_a=ZERO_FN, disutility_f=f_fn)
+    # no noise, growth rate, migration or jumps: D = 0 and b = 0, so the
+    # equation reduces to -phi_t = f, and the spec still validates
+    return replace(rp.make_paper_spec(False), sigma=0.0, gamma0=0.0,
+                   gamma1=0.0, nu1=0.0, nu2=0.0, growth_rate_r=zero_rate,
+                   disutility_f=f_fn)
 
 
 def test_step_backward_degenerate_analytic():
@@ -296,7 +298,7 @@ def test_solve_backward_single_step_constant_cost():
     spec = replace(degenerate_spec(const_f), horizon=0.005)
     mesh = rp.build_mesh(20)
     tg = rp.build_time_grid(0.005, 0.005)
-    result = rp.solve_backward(spec, mesh, tg, validate=False)
+    result = rp.solve_backward(spec, mesh, tg)
     np.testing.assert_allclose(result.final_value, 2.0 * 0.005,
                                atol=1e-14)
     assert result.ergodic.E_mean == pytest.approx(2.0, abs=1e-10)
@@ -374,16 +376,20 @@ def test_iteration_stats_counted_per_step():
 # the acceptance suite)
 # ---------------------------------------------------------------------------
 
-def test_discrete_comparison_in_f():
-    lower_f = rp.make_paper_spec(False).disutility_f
-    higher_f = tabulated([[0.0, 1.5], [0.5, 0.5], [1.0, 1.5]])
-    mesh = rp.build_mesh(50)
-    tg = rp.build_time_grid(1.0, 0.01)
-    phi = []
-    for f_fn in (lower_f, higher_f):
-        spec = replace(rp.make_paper_spec(False), disutility_f=f_fn,
-                       horizon=1.0)
-        phi.append(rp.solve_backward(spec, mesh, tg).final_value)
+@settings(max_examples=25, deadline=None)
+@given(tables=st.integers(2, 6).flatmap(lambda k: st.tuples(
+    st.lists(st.floats(0.0, 2.0), min_size=k, max_size=k),
+    st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))))
+@example(tables=([1.0, 0.0, 1.0], [0.5, 0.5, 0.5]))     # the tent and tent + 0.5
+def test_discrete_comparison_in_f(tables):
+    # f1 <= f2 at every even knot, so everywhere: the values keep the order
+    lower, gap = (np.asarray(values) for values in tables)
+    knots = np.linspace(0.0, 1.0, lower.size)
+    base = replace(rp.make_paper_spec(False), horizon=0.5)
+    specs = [replace(base, disutility_f=tabulated(np.column_stack((knots, f))))
+             for f in (lower, lower + gap)]
+    phi = [r.final_value for r in rp.solve_many(
+        specs, rp.build_mesh(20), rp.build_time_grid(0.5, 0.05))]
     assert np.all(phi[0] <= phi[1] + 1e-8)
 
 
@@ -544,8 +550,7 @@ def test_degenerate_spec_marches_to_zero():
     f_fn = rp.make_paper_spec(False).disutility_f
     spec = replace(degenerate_spec(f_fn), horizon=50.0)
     mesh = rp.build_mesh(50)
-    result = rp.solve_backward(spec, mesh, rp.build_time_grid(50.0, 0.5),
-                               validate=False)
+    result = rp.solve_backward(spec, mesh, rp.build_time_grid(50.0, 0.5))
     f = np.asarray(f_fn(mesh.nodes), dtype=float)
     assert result.exit_time == 0.0
     assert result.iteration_stats.size == 100
