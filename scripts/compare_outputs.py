@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""Byte-for-byte comparison of the outputs of two checkouts.
+
+Runs ``robpop.cli.execute`` in a fresh interpreter in the parent and in the
+change checkout on each of these inputs:
+
+- the benchmark workloads, with the config text of
+  ``Workload.config_text(root, 2024)`` from ``perfbench/suite.py``;
+- ``configs/solve_{controlled,uncontrolled,symmetric}.txt`` with
+  ``time.dt = 0.1``.
+
+It compares the two exit codes and every output file byte for byte, the
+provenance lines included, prints one line per run and exits 1 on any
+difference. BLAS and OpenMP run on one thread, as in the benchmark.
+
+    python3 scripts/compare_outputs.py --parent ../parent --change .
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import runpy
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SEED = 2024
+SOLVE_CONFIGS = ("solve_controlled.txt", "solve_uncontrolled.txt",
+                 "solve_symmetric.txt")
+THREAD_PINS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1"}
+# reads the config text on stdin and writes the outputs to argv[1]
+CHILD = ("import sys; from robpop import cli; "
+         "cfg = cli.resolve_config(cli.parse_config_text(sys.stdin.read())); "
+         "sys.exit(cli.execute(cfg, sys.argv[1], quiet=True))")
+
+
+def inputs(root: Path) -> dict[str, str]:
+    """Run name -> the config text it runs in the checkout ``root``."""
+    workloads = runpy.run_path(str(root / "perfbench" / "suite.py"))[
+        "WORKLOADS"]
+    runs = {name: workload.config_text(root, SEED)
+            for name, workload in workloads.items()}
+    for config in SOLVE_CONFIGS:
+        text = (root / "configs" / config).read_text()
+        runs[f"{config} dt=0.1"] = f"{text}\ntime.dt = 0.1\n"
+    return runs
+
+
+def execute(root: Path, text: str, out: Path) -> int:
+    """The exit code of one execute of ``text`` in ``root``, writing to ``out``."""
+    env = dict(os.environ, **THREAD_PINS, PYTHONPATH=str(root / "src"))
+    return subprocess.run([sys.executable, "-c", CHILD, str(out)], input=text,
+                          cwd=root, env=env, capture_output=True,
+                          text=True).returncode
+
+
+def compare_trees(parent: Path, change: Path) -> list[str]:
+    """The files that differ between two output trees: a file on one side
+    only, or one whose bytes differ. An empty list means the trees are
+    identical."""
+    def files(root: Path) -> set[Path]:
+        return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+
+    mine, theirs = files(parent), files(change)
+    problems = [f"{p}: only in the parent" for p in sorted(mine - theirs)]
+    problems += [f"{p}: only in the change" for p in sorted(theirs - mine)]
+    problems += [f"{p}: bytes differ" for p in sorted(mine & theirs)
+                 if (parent / p).read_bytes() != (change / p).read_bytes()]
+    return problems
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    ns = parser.parse_args(argv)
+    roots = {"parent": ns.parent.resolve(), "change": ns.change.resolve()}
+    texts = {side: inputs(root) for side, root in roots.items()}
+    differ = False
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in texts["change"]:
+            outs = {side: Path(tmp) / side / name.replace(" ", "_")
+                    for side in roots}
+            codes = {side: execute(roots[side], texts[side][name], outs[side])
+                     for side in roots}
+            problems = compare_trees(outs["parent"], outs["change"])
+            if codes["parent"] != codes["change"]:
+                problems.insert(0, f"exit codes {codes['parent']} and "
+                                   f"{codes['change']}")
+            n_files = len(list(outs["change"].rglob("*.csv")))
+            verdict = "; ".join(problems) if problems else "identical"
+            print(f"{name}: exit {codes['change']}, {n_files} csv, {verdict}")
+            differ = differ or bool(problems)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -258,6 +258,8 @@ def _omega1(result, spec: ProblemSpec, mesh) -> list[tuple[float, float]]:
 
 
 def _run_solve(cfg: RunConfig, spec: ProblemSpec, out: Path, quiet: bool) -> int:
+    if not _valid([spec]):
+        return 1
     mesh, tg, solver_kw = _run_setup(cfg, spec)
     result = solve_backward(spec, mesh, tg,
                             snapshot_times=tuple(cfg["snapshot_times"]),
@@ -331,6 +333,8 @@ def _run_sweep(cfg: RunConfig, base: ProblemSpec, out: Path, quiet: bool) -> int
 
 
 def _run_mc_check(cfg: RunConfig, spec: ProblemSpec, out: Path, quiet: bool) -> int:
+    if not _valid([spec]):
+        return 1
     sim = SimConfig(dt_sim=float(cfg["mc.dt_sim"]),
                     n_paths=int(cfg["mc.n_paths"]),
                     master_seed=int(cfg["mc.seed"]),
@@ -376,8 +380,6 @@ def execute(cfg: RunConfig, out_dir, quiet: bool = False) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     spec = build_spec(cfg)
-    if not _valid([spec]):
-        return 1
     run = {"solve": _run_solve, "sweep": _run_sweep,
            "mc-check": _run_mc_check}[cfg["command"]]
     try:

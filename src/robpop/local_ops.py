@@ -6,7 +6,7 @@ discrete candidate table (q_k, r(q_k), h(q_k)) built once per solve by
 intervention); nature's drift distortion lambda minimizes the quadratic
 -sigma lambda a(x) p + lambda^2 / (2 psi0) in closed form with clamping to
 [-lambda_max, lambda_max]. Both work on whole node arrays of shape (k, n),
-one row per spec of a batch (q's candidate tables too: (k, m)), and return
+one row per spec of a batch (q's candidate table too: (3, k, m)), and return
 the maximizers only: the step never reads the objective values they attain.
 """
 
@@ -36,8 +36,9 @@ def q_candidates(spec: ProblemSpec):
 def q_field(table, a_vals: np.ndarray, p_vals: np.ndarray):
     """Vectorized discrete argmax of -r(q) a p - h(q); first (smallest) q wins ties.
 
-    `table` holds one :func:`q_candidates` table per row of a p, stacked to
-    shape (k, m). Returns (q_star, r_at_q_star, h_at_q_star), shaped like a p.
+    `table` stacks the k specs' :func:`q_candidates` tables to shape (3, k,
+    m), one spec per row of a p, as `SchemeOperators.q_table` holds them.
+    Returns (q_star, r_at_q_star, h_at_q_star), shaped like a p.
     """
     qs, r_vals, h_vals = table
     ap = a_vals * p_vals

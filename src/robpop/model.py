@@ -97,20 +97,23 @@ def tabulated(points) -> TabulatedFunction:
 class JumpDensity(TabulatedFunction):
     """Jump-size density: a piecewise-linear table (xs, ys) of mass one.
 
-    Construction checks the table: it has one value per knot, its knots
-    ascend, its support [xs[0], xs[-1]] lies strictly inside (0, 1), its
-    knot values are finite and nonnegative, and its trapezoid mass, exact
-    for the table, is within 1e-10 of one. These keep the quadrature weights
-    finite and nonnegative, which the scheme's monotonicity rests on.
+    Construction checks the table: it is 1-D with at least two knots and
+    one value per knot, its knots ascend, its support [xs[0], xs[-1]] lies
+    strictly inside (0, 1), its knot values are finite and nonnegative, and
+    its trapezoid mass, exact for the table, is within 1e-10 of one. These
+    keep the quadrature weights finite and nonnegative, which the scheme's
+    monotonicity rests on.
     """
 
     def __post_init__(self):
         xs, ys = self.xs, self.ys
         # each check is written as "not within bound" so that NaN fails
-        if not (np.shape(xs) == np.shape(ys) and 0.0 < xs[0] < xs[-1] < 1.0
+        if not (np.ndim(xs) == 1 and len(xs) >= 2
+                and np.shape(xs) == np.shape(ys) and 0.0 < xs[0] < xs[-1] < 1.0
                 and np.all(np.diff(xs) >= 0.0)):
-            raise ValueError("jump density needs one value per knot, knots "
-                             "that ascend, and support 0 < lo < hi < 1")
+            raise ValueError("jump density needs a 1-D table of at least two "
+                             "knots, one value per knot, knots that ascend, "
+                             "and support 0 < lo < hi < 1")
         if not np.all((ys >= 0.0) & (ys < np.inf)):
             raise ValueError("jump density must have finite nonnegative knot "
                              "values")

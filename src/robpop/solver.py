@@ -152,11 +152,11 @@ class PolicyConfig:
 class SchemeOperators:
     """The discretized operators of a batch of k specs on one mesh.
 
-    Every per-spec entry is stacked over the specs on its second-to-last
-    axis, whether or not the specs agree on it: a node row is (k, n), a
-    scalar a (k, 1) column, a scalar per jump kind (2, k, 1) and a q
-    candidate table (k, m) per part, so `subset` slices them all alike. The
-    rows the step reads on every iterate are built here, once per solve.
+    One layout rule: every per-spec entry is an array whose second-to-last
+    axis runs over the specs, whether or not the specs agree on it. A node
+    row is (k, n), a scalar a (k, 1) column, a scalar per jump kind (2, k, 1)
+    and the q candidate table (3, k, m), so `subset` slices them all alike.
+    The rows the step reads on every iterate are built here, once per solve.
     The one jump matrix `jumps` is not stacked: every spec's field gets its
     own mat-vec with it, and every subset shares it.
     """
@@ -168,8 +168,9 @@ class SchemeOperators:
     a_vals: np.ndarray
     f_vals: np.ndarray
     base_drift: np.ndarray      # gamma1 - (gamma0 + gamma1) x
-    q_table: tuple              # (q_k, r(q_k), h(q_k)), see q_field
-    first_stencil: tuple        # (drift, central mask) at q = 0, lambda = 0
+    q_table: np.ndarray         # (q_k, r(q_k), h(q_k)), see q_field
+    first_drift: np.ndarray     # the drift at q = 0, lambda = 0
+    first_central: np.ndarray   # the central mask of first_drift
     lambda_scale: np.ndarray    # psi0 sigma a
     sigma: np.ndarray
     psi0: np.ndarray
@@ -186,33 +187,12 @@ class SchemeOperators:
     def subset(self, positions) -> SchemeOperators:
         """The operators of the specs at `positions` of this batch."""
         return replace(self, index=tuple(self.index[p] for p in positions),
-                       **{f.name: _take(getattr(self, f.name), positions)
+                       **{f.name: getattr(self, f.name)[..., positions, :]
                           for f in fields(self) if f.name not in _SHARED})
 
 
 # the fields of SchemeOperators that are not stacked over the specs
 _SHARED = ("index", "batch_size", "mesh", "jumps")
-
-
-def _take(value, positions):
-    """The rows at `positions` of a per-spec entry, a tuple entry by entry."""
-    if isinstance(value, tuple):
-        return tuple(v[..., positions, :] for v in value)
-    return value[..., positions, :]
-
-
-def _stacked(values) -> np.ndarray:
-    """Per-spec scalars as a (k, 1) column, per-spec pairs of them (one per
-    jump kind) as a (2, k, 1) stack."""
-    return np.asarray(values, dtype=float).T[..., None]
-
-
-def _q_tables(tables: list[tuple]) -> tuple:
-    """The specs' candidate tables, one row per spec, shape (k, m); shorter
-    tables repeat their last candidate, which never wins a tie."""
-    m = max(len(t[0]) for t in tables)
-    return tuple(np.stack([np.pad(part, (0, m - len(part)), mode="edge")
-                           for part in parts]) for parts in zip(*tables))
 
 
 def controlled_drift(sigma, base_drift: np.ndarray, a: np.ndarray,
@@ -236,8 +216,11 @@ def running_cost(psi0, entropy_weight, f: np.ndarray, h_of_q: np.ndarray,
 def build_scheme(specs, mesh: Mesh, n_quad: int = N_QUAD) -> SchemeOperators:
     """The operators of one spec, or of a batch of specs on one mesh.
 
-    The specs of a batch share both jump quadratures, so their jump
-    densities must be equal; a ValueError names the first that is not.
+    Each spec's entries are built alone, then stacked on axis -2 (see
+    `SchemeOperators`); shorter q tables repeat their last candidate, which
+    never wins a tie. The specs of a batch share both jump quadratures, so
+    their jump densities must be equal; a ValueError names the first that
+    is not.
     """
     specs = (specs,) if isinstance(specs, ProblemSpec) else tuple(specs)
     for i, spec in enumerate(specs[1:], 1):
@@ -248,50 +231,58 @@ def build_scheme(specs, mesh: Mesh, n_quad: int = N_QUAD) -> SchemeOperators:
                 raise ValueError(f"the specs of one batch must share their "
                                  f"jump densities: {name} of spec {i} "
                                  f"differs from that of spec 0")
-    x = mesh.nodes
-    dx = mesh.dx
-    a_vals = [np.asarray(s.growth_a(x), dtype=float) for s in specs]
-    base_drift = [s.gamma1 - (s.gamma0 + s.gamma1) * x for s in specs]
-    diffusion = np.stack([0.5 * s.sigma ** 2 * a ** 2
-                          for s, a in zip(specs, a_vals)])
-    first_drift = np.stack([
-        controlled_drift(s.sigma, b, a,
-                         float(np.asarray(s.growth_rate_r(0.0), dtype=float)),
-                         0.0)
-        for s, b, a in zip(specs, base_drift, a_vals)])
-    d_dx2 = diffusion / dx ** 2
+    entries = [_spec_entries(s, mesh) for s in specs]
+    m = max(e["q_table"].shape[-1] for e in entries)
+    for e in entries:
+        pad = m - e["q_table"].shape[-1]
+        e["q_table"] = np.pad(e["q_table"], ((0, 0), (0, pad)), mode="edge")
+    stacked = {name: np.stack([e[name] for e in entries], axis=-2)
+               for name in entries[0]}
     quad_down = build_jump_quadrature(mesh, specs[0].jump_density_1, "down",
                                       n_quad)
     quad_up = build_jump_quadrature(mesh, specs[0].jump_density_2, "up",
                                     n_quad)
-    two_d_dx = 2.0 * diffusion / dx
     return SchemeOperators(
         index=tuple(range(len(specs))),
         batch_size=len(specs),
         mesh=mesh,
         jumps=JumpQuadrature(weights=sp.vstack(
             (quad_down.weights, quad_up.weights), format="csr")),
-        a_vals=np.stack(a_vals),
-        f_vals=np.stack([np.asarray(s.disutility_f(x), dtype=float)
-                         for s in specs]),
-        base_drift=np.stack(base_drift),
-        q_table=_q_tables([q_candidates(s) for s in specs]),
-        first_stencil=(first_drift, _central_mask(two_d_dx, first_drift)),
-        lambda_scale=np.stack([s.psi0 * s.sigma * a
-                               for s, a in zip(specs, a_vals)]),
-        sigma=_stacked([s.sigma for s in specs]),
-        psi0=_stacked([s.psi0 for s in specs]),
-        lambda_max=_stacked([s.lambda_max for s in specs]),
-        theta_max=_stacked([s.theta_max for s in specs]),
-        nu=_stacked([(s.nu1, s.nu2) for s in specs]),
-        psi=_stacked([(s.psi1, s.psi2) for s in specs]),
-        entropy_weight=_stacked([(s.nu1 / s.psi1, s.nu2 / s.psi2)
-                                 for s in specs]),
-        d_dx2=d_dx2,
-        neg_d_dx2=-d_dx2,
-        two_d_dx2=2.0 * d_dx2,
-        two_d_dx=two_d_dx,
+        first_central=_central_mask(stacked["two_d_dx"],
+                                    stacked["first_drift"]),
+        **stacked,
     )
+
+
+def _spec_entries(spec: ProblemSpec, mesh: Mesh) -> dict[str, np.ndarray]:
+    """One spec's per-spec entries of `SchemeOperators`, without the spec
+    axis: node rows (n,), scalars (1,), pairs per jump kind (2, 1) and the
+    q table (3, m)."""
+    x, dx = mesh.nodes, mesh.dx
+    a = np.asarray(spec.growth_a(x), dtype=float)
+    base_drift = spec.gamma1 - (spec.gamma0 + spec.gamma1) * x
+    diffusion = 0.5 * spec.sigma ** 2 * a ** 2
+    d_dx2 = diffusion / dx ** 2
+    r_at_0 = float(np.asarray(spec.growth_rate_r(0.0), dtype=float))
+    return {
+        "a_vals": a,
+        "f_vals": np.asarray(spec.disutility_f(x), dtype=float),
+        "base_drift": base_drift,
+        "q_table": np.stack(q_candidates(spec)),
+        "first_drift": controlled_drift(spec.sigma, base_drift, a, r_at_0,
+                                        0.0),
+        "lambda_scale": spec.psi0 * spec.sigma * a,
+        **{name: np.array([getattr(spec, name)], dtype=float)
+           for name in ("sigma", "psi0", "lambda_max", "theta_max")},
+        "nu": np.array([[spec.nu1], [spec.nu2]], dtype=float),
+        "psi": np.array([[spec.psi1], [spec.psi2]], dtype=float),
+        "entropy_weight": np.array([[spec.nu1 / spec.psi1],
+                                    [spec.nu2 / spec.psi2]], dtype=float),
+        "d_dx2": d_dx2,
+        "neg_d_dx2": -d_dx2,
+        "two_d_dx2": 2.0 * d_dx2,
+        "two_d_dx": 2.0 * diffusion / dx,
+    }
 
 
 def _central_mask(two_d_dx: np.ndarray, drift: np.ndarray) -> np.ndarray:
@@ -456,7 +447,7 @@ def step_backward(ops: SchemeOperators, dt: float, phi_next: np.ndarray,
     any spec took). `counts`, if given, receives each spec's own.
     """
     rhs_next = phi_next / dt
-    phi, stencil, sub = phi_next, ops.first_stencil, ops
+    phi, sub, stencil = phi_next, ops, (ops.first_drift, ops.first_central)
     rows = np.arange(len(phi_next))     # the specs still iterating
     values, drift = np.empty_like(phi_next), np.empty_like(phi_next)
     central = np.empty(phi_next.shape, dtype=bool)

@@ -363,6 +363,21 @@ def test_bench_pairs_keeps_each_result_under_its_workload(monkeypatch):
     assert results == {name: {"ran": name} for name in names}
 
 
+def test_compare_outputs_finds_a_differing_byte_and_a_missing_file(
+        tmp_path):
+    script = load_script("scripts/compare_outputs.py")
+    for side in ("parent", "change"):
+        (tmp_path / side / "sub").mkdir(parents=True)
+        (tmp_path / side / "value.csv").write_bytes(b"# cfg\nx,phi\n0,1\n")
+        (tmp_path / side / "sub" / "sweep.csv").write_bytes(b"1,2\n")
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    assert script.compare_trees(parent, change) == []
+    (change / "value.csv").write_bytes(b"# cfg\nx,phi\n0,2\n")
+    (parent / "sub" / "sweep.csv").unlink()
+    assert script.compare_trees(parent, change) == [
+        "sub/sweep.csv: only in the change", "value.csv: bytes differ"]
+
+
 def test_resolution_rejects_nonfinite_and_noninteger_values():
     with pytest.raises(ConfigError, match="finite"):
         resolve_config({"model.jump1": [[0.2, 1.0], [0.5, float("inf")]]})
@@ -559,6 +574,16 @@ def test_sweep_rejects_invalid_swept_value_before_solving(tmp_path,
     assert code == 1
     err = capsys.readouterr().err
     assert "invalid model:" in err and "sigma" in err
+
+
+def test_sweep_validates_the_swept_specs_not_the_base_spec(tmp_path):
+    # the base psi0 is invalid, but every swept spec replaces it
+    text = (TINY.replace("mesh.n_cells = 30", "mesh.n_cells = 20")
+            + "; command = 'sweep'; sweep.param = 'psi0'; "
+            "sweep.values = [0.5, 1.0]; model.psi0 = -1.0")
+    code, out = run_cli(tmp_path, text)
+    assert code == 0
+    assert len((out / "sweep.csv").read_text().splitlines()) == 4
 
 
 def test_sweep_omega1_uses_each_swept_q_max(tmp_path):

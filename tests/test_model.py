@@ -115,6 +115,8 @@ def test_tabulated_density_rejects_bad_support():
     ([0.0, 0.5], [2.0, 2.0], "support"),
     ([0.2, 0.6, 0.4], [2.5, 2.5, 2.5], "ascend"),
     ([0.2, 0.3, 0.4], [5.0, 5.0], "one value per knot"),
+    ([], [], "at least two knots"),
+    (0.5, 2.0, "1-D table"),
 ])
 def test_validation_flags_bad_density_table(xs, ys, named):
     # a density checks its table when it is built, so no spec can hold one

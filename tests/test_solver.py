@@ -223,8 +223,8 @@ def test_extraction_hands_assembly_what_it_would_evaluate():
     ops = build_scheme(spec, rp.build_mesh(200))
     x = ops.mesh.nodes
     phi = 4.0 * (x - 0.5) ** 2 + 0.1 * np.sin(9.0 * x)
-    batch, (theta, w), _ = _extract_controls(ops, phi[None],
-                                             ops.first_stencil)
+    stencil = (ops.first_drift, ops.first_central)
+    batch, (theta, w), _ = _extract_controls(ops, phi[None], stencil)
     controls = ControlField(*(row[0] for row in vars(batch).values()))
     assert set(controls.q_star.tolist()) == {0.0, 0.5, 1.0}
     reference, (ref_theta, ref_w) = reference_handoff(spec, ops, controls,
@@ -608,14 +608,18 @@ def test_batch_is_each_spec_alone_bitwise(record_controls):
     assert len({int(r.iteration_stats[-1]) for r in batch}) == 2
 
 
+def ragged_q_specs():
+    """Two controlled specs whose q tables have three and five candidates."""
+    base = replace(rp.make_paper_spec(True), horizon=40.0)
+    return [replace(base, psi0=0.25, q_grid_size=3, growth_rate_r=tabulated(
+                [[0.0, 1.0], [0.5, 0.4], [1.0, 0.0]])),
+            replace(base, q_grid_size=5, q_max=0.8)]
+
+
 @pytest.mark.parametrize("record_controls", [False, True])
 def test_batch_of_q_tables_of_different_lengths(record_controls):
     # the three-candidate table is padded to five by repeating q = 1
-    base = replace(rp.make_paper_spec(True), horizon=40.0)
-    specs = [replace(base, psi0=0.25, q_grid_size=3, growth_rate_r=tabulated(
-                 [[0.0, 1.0], [0.5, 0.4], [1.0, 0.0]])),
-             replace(base, q_grid_size=5, q_max=0.8)]
-    batch = assert_batch_is_each_spec_alone(specs, record_controls)
+    batch = assert_batch_is_each_spec_alone(ragged_q_specs(), record_controls)
     assert 0.5 in batch[0].final_controls.q_star
 
 
@@ -628,6 +632,13 @@ def test_a_subset_is_the_batch_of_its_specs():
     mesh = rp.build_mesh(30)
     ops = build_scheme(specs, mesh)
     per_spec = [f.name for f in fields(ops) if f.name not in SHARED_FIELDS]
+    # one layout rule: every per-spec entry is an array whose axis -2 runs
+    # over the specs, q tables of 3, 5 and 2 candidates included
+    ragged = build_scheme(ragged_q_specs() + specs[2:], mesh)
+    for name in per_spec:
+        value = getattr(ragged, name)
+        assert isinstance(value, np.ndarray), name
+        assert value.shape[-2] == 3, name
     for size in range(1, len(specs) + 1):
         for positions in itertools.combinations(range(len(specs)), size):
             got = ops.subset(positions)
@@ -635,12 +646,8 @@ def test_a_subset_is_the_batch_of_its_specs():
             fresh = build_scheme([specs[i] for i in positions], mesh)
             for name in per_spec:
                 mine, theirs = getattr(got, name), getattr(fresh, name)
-                if not isinstance(mine, tuple):
-                    mine, theirs = (mine,), (theirs,)
-                assert len(mine) == len(theirs)
-                for a, b in zip(mine, theirs):
-                    assert np.shape(a) == np.shape(b), (positions, name)
-                    assert np.array_equal(a, b), (positions, name)
+                assert mine.shape == theirs.shape, (positions, name)
+                assert np.array_equal(mine, theirs), (positions, name)
             w, w_fresh = got.jumps.weights, fresh.jumps.weights
             assert w.shape == w_fresh.shape
             for part in ("indptr", "indices", "data"):
