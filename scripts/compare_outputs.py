@@ -7,7 +7,10 @@ change checkout on each of these inputs:
 - the benchmark workloads, with the config text of
   ``Workload.config_text(root, 2024)`` from ``perfbench/suite.py``;
 - ``configs/solve_{controlled,uncontrolled,symmetric}.txt`` with
-  ``time.dt = 0.1``.
+  ``time.dt = 0.1``;
+- ``configs/solve_controlled.txt`` with ``time.dt = 0.1`` and the snapshot
+  times ``SNAPSHOT_TIMES``: two levels below the ergodic exit, the exit
+  t* = 29.5 itself, a marched level and the terminal level.
 
 It compares the two exit codes and every output file byte for byte, the
 provenance lines included, prints one line per run and exits 1 on any
@@ -29,6 +32,7 @@ from pathlib import Path
 SEED = 2024
 SOLVE_CONFIGS = ("solve_controlled.txt", "solve_uncontrolled.txt",
                  "solve_symmetric.txt")
+SNAPSHOT_TIMES = [0.0, 5.0, 29.5, 45.0, 50.0]
 THREAD_PINS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
                "MKL_NUM_THREADS": "1"}
 # reads the config text on stdin and writes the outputs to argv[1]
@@ -46,6 +50,9 @@ def inputs(root: Path) -> dict[str, str]:
     for config in SOLVE_CONFIGS:
         text = (root / "configs" / config).read_text()
         runs[f"{config} dt=0.1"] = f"{text}\ntime.dt = 0.1\n"
+    runs["solve_controlled.txt dt=0.1 snapshots"] = (
+        f"{runs['solve_controlled.txt dt=0.1']}"
+        f"snapshot_times = {SNAPSHOT_TIMES}\n")
     return runs
 
 

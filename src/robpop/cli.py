@@ -272,7 +272,7 @@ def _run_solve(cfg: RunConfig, spec: ProblemSpec, out: Path, quiet: bool) -> int
     _write_csv(out / "controls.csv", prov,
                ["x", "q_star", "lambda_star", "theta1_star", "theta2_star"],
                zip(mesh.nodes, ctrl.q_star, ctrl.lambda_star,
-                   ctrl.theta1_star, ctrl.theta2_star))
+                   ctrl.theta_star[0], ctrl.theta_star[1]))
     _write_csv(out / "ergodic.csv", prov, ["E_mean", "E_spread", "t_exit"],
                [(result.ergodic.E_mean, result.ergodic.E_spread,
                  result.exit_time)])

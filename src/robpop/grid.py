@@ -51,8 +51,9 @@ class TimeGrid:
 
     def level(self, t: float) -> int:
         """The m with m * dt = t, under the tolerance of `build_time_grid`."""
-        m = int(self.nearest(t))
-        # written as "not within bound" so that a NaN time fails the check
+        # written as "not within bound" so that NaN and infinity fail the
+        # check, and before `nearest` would cast them to an integer
+        m = int(self.nearest(t)) if abs(t) < math.inf else -1
         if not abs(m * self.dt - t) <= LEVEL_TOL * self.horizon:
             raise ValueError(f"time {t} is not a level m * {self.dt} of the "
                              f"time grid, 0 <= m <= {self.n_steps}")

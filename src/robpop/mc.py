@@ -153,7 +153,8 @@ def _level_rows(level: ControlField):
     solve stored them; each theta row comes with its thinning bound, the
     row's largest node value, as (row, bound)."""
     rows = (_row("running cost", level.cost), _row("drift", level.drift),
-            _row("theta1", level.theta1_star), _row("theta2", level.theta2_star))
+            _row("theta1", level.theta_star[0]),
+            _row("theta2", level.theta_star[1]))
     return rows[:2] + tuple((row, float(row[0].max())) for row in rows[2:])
 
 

@@ -27,18 +27,20 @@ stacked W (W1's rows, then W2's) and one tridiagonal solve of the k systems
 laid end to end. A spec leaves the iteration once its slice has converged
 and leaves the march at its ergodic exit, so every result is bitwise what
 solving its spec alone gives; `solve_backward(spec)` is the batch of one.
+The march keeps its state in the same layout, one row per spec, and tests
+every spec for its exit at once.
 
 In the ergodic regime Phi(t, x) = w(x) + E (T - t) up to a vanishing error,
 so once the per-node estimate of E has settled every further step only adds
 E dt. The march then stops at that level t* and writes the rest of the
 horizon as Phi(t*) + E (t* - t) (relative value iteration). The controls are
 extracted at the converged slices only where they are used: after every step
-when they are recorded, else once, at the exit.
+when they are recorded, else on a step where some spec exits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -85,18 +87,30 @@ class PolicyIterationError(RuntimeError):
 @dataclass
 class ControlField:
     """Optimal controls at the nodes and the node rows they give: the drift
-    b (`controlled_drift`) and the running cost c (`running_cost`)."""
+    b (`controlled_drift`) and the running cost c (`running_cost`).
+
+    `theta_star` stacks theta1* and theta2* on its first axis. A batch's
+    fields run over the specs on axis -2, as in `SchemeOperators`, and
+    `row(j)` takes spec j's.
+    """
 
     q_star: np.ndarray
     lambda_star: np.ndarray
-    theta1_star: np.ndarray
-    theta2_star: np.ndarray
+    theta_star: np.ndarray      # (theta1*, theta2*)
     drift: np.ndarray
     cost: np.ndarray
+
+    def row(self, j: int) -> ControlField:
+        """Spec j's controls out of a batch's."""
+        return ControlField(**{name: values[..., j, :]
+                               for name, values in vars(self).items()})
 
 
 @dataclass
 class ErgodicReport:
+    """The estimate of E and its per-node spread: floats for one pair of
+    slices, arrays over the specs for a batch (see `ergodic_estimate`)."""
+
     E_mean: float
     E_spread: float
 
@@ -180,8 +194,6 @@ class SchemeOperators:
     psi: np.ndarray             # (psi1, psi2)
     entropy_weight: np.ndarray  # (nu1 / psi1, nu2 / psi2)
     d_dx2: np.ndarray           # D / dx^2, with D = sigma^2 a^2 / 2
-    neg_d_dx2: np.ndarray       # -D / dx^2
-    two_d_dx2: np.ndarray       # 2 D / dx^2
     two_d_dx: np.ndarray        # 2 D / dx, the central-stencil bound on |b|
 
     def subset(self, positions) -> SchemeOperators:
@@ -262,7 +274,6 @@ def _spec_entries(spec: ProblemSpec, mesh: Mesh) -> dict[str, np.ndarray]:
     a = np.asarray(spec.growth_a(x), dtype=float)
     base_drift = spec.gamma1 - (spec.gamma0 + spec.gamma1) * x
     diffusion = 0.5 * spec.sigma ** 2 * a ** 2
-    d_dx2 = diffusion / dx ** 2
     r_at_0 = float(np.asarray(spec.growth_rate_r(0.0), dtype=float))
     return {
         "a_vals": a,
@@ -278,9 +289,7 @@ def _spec_entries(spec: ProblemSpec, mesh: Mesh) -> dict[str, np.ndarray]:
         "psi": np.array([[spec.psi1], [spec.psi2]], dtype=float),
         "entropy_weight": np.array([[spec.nu1 / spec.psi1],
                                     [spec.nu2 / spec.psi2]], dtype=float),
-        "d_dx2": d_dx2,
-        "neg_d_dx2": -d_dx2,
-        "two_d_dx2": 2.0 * d_dx2,
+        "d_dx2": diffusion / dx ** 2,
         "two_d_dx": 2.0 * diffusion / dx,
     }
 
@@ -313,34 +322,28 @@ def _spec_label(ops: SchemeOperators, j: int) -> str:
 
 
 def assemble_system(ops: SchemeOperators, dt: float, controls: ControlField,
-                    central: np.ndarray, jumps: tuple[np.ndarray, np.ndarray],
+                    central: np.ndarray, expectations: np.ndarray,
                     rhs_next: np.ndarray) -> tuple[np.ndarray, ...]:
     """One implicit backward-Euler system per spec at fixed controls, as the
     (k, n) arrays (lower, diag, upper, rhs) that `thomas_solve` takes.
 
-    Reads the drift and running-cost rows the controls carry, the central
-    mask of that drift, and `jumps` = (theta, expectations): theta* and the
-    jump expectations (W1 phi, W2 phi) that control extraction computed at
-    the lagged iterate phi, stacked by jump kind. `rhs_next` is phi_next /
-    dt. Evaluates no spec coefficient and no quadrature. Checks every row;
-    a SchemeError names the first spec whose rows fail.
+    Reads the drift, running-cost and theta* rows the controls carry, the
+    central mask of that drift, and the jump `expectations` (W1 phi, W2 phi)
+    that control extraction computed at the lagged iterate phi, stacked by
+    jump kind like theta*. `rhs_next` is phi_next / dt. Evaluates no spec
+    coefficient and no quadrature. Checks every row; a SchemeError names
+    the first spec whose rows fail.
     """
-    dx = ops.mesh.dx
-    drift = controls.drift
-    theta, expectations = jumps
-
     # drift / (2 dx) is half of drift / dx, exactly
-    b_dx = drift / dx
+    b_dx = controls.drift / ops.mesh.dx
     half = 0.5 * b_dx
     # full-length rows: row_low[:, 0] and row_up[:, -1] couple past x = 0
     # and x = 1 and drop out of the system, but the M-matrix check still
     # bounds them
-    row_low = np.where(central, -(ops.d_dx2 - half),
-                       ops.neg_d_dx2 + np.minimum(b_dx, 0.0))
-    row_up = np.where(central, -(ops.d_dx2 + half),
-                      ops.neg_d_dx2 - np.maximum(b_dx, 0.0))
-    row_diag = np.where(central, ops.two_d_dx2, ops.two_d_dx2 + np.abs(b_dx))
-    nu_theta = ops.nu * theta
+    row_low = np.where(central, half, np.minimum(b_dx, 0.0)) - ops.d_dx2
+    row_up = -(ops.d_dx2 + np.where(central, half, np.maximum(b_dx, 0.0)))
+    row_diag = 2.0 * ops.d_dx2 + np.where(central, 0.0, np.abs(b_dx))
+    nu_theta = ops.nu * controls.theta_star
     diag = 1.0 / dt + nu_theta[0] + nu_theta[1] + row_diag
 
     slack = 1e-9 * np.maximum(diag.max(axis=1), 1.0)[:, None]
@@ -411,10 +414,11 @@ def _extract_controls(ops: SchemeOperators, phi: np.ndarray, stencil):
     """Pointwise optimizers at the current iterates phi, shape (k, n).
 
     `stencil` is the (drift, central mask) pair the slopes are taken on.
-    Returns (controls, jumps, stencil) as `assemble_system` takes them: the
-    controls carry their drift and running-cost rows, jumps = (theta*,
-    expectations) stacked by jump kind, and the new stencil is the controls'
-    drift with its central mask, which assembly and the next iterate share.
+    Returns (controls, expectations, stencil) as `assemble_system` takes
+    them: the controls carry their drift and running-cost rows, the jump
+    expectations are stacked by jump kind like theta*, and the new stencil
+    is the controls' drift with its central mask, which assembly and the
+    next iterate share.
     """
     p = _gradient(ops, phi, stencil)
     lam = lambda_field(ops.lambda_scale, ops.lambda_max, p)
@@ -422,12 +426,10 @@ def _extract_controls(ops: SchemeOperators, phi: np.ndarray, stencil):
     delta, theta = apply_nonlocal(ops.jumps, phi, ops.psi, ops.theta_max)
     drift = controlled_drift(ops.sigma, ops.base_drift, ops.a_vals, r_q, lam)
     controls = ControlField(
-        q_star=q, lambda_star=lam, theta1_star=theta[0], theta2_star=theta[1],
-        drift=drift,
+        q_star=q, lambda_star=lam, theta_star=theta, drift=drift,
         cost=running_cost(ops.psi0, ops.entropy_weight, ops.f_vals, h_q, lam,
                           theta))
-    return (controls, (theta, phi - delta),
-            (drift, _central_mask(ops.two_d_dx, drift)))
+    return controls, phi - delta, (drift, _central_mask(ops.two_d_dx, drift))
 
 
 def step_backward(ops: SchemeOperators, dt: float, phi_next: np.ndarray,
@@ -452,9 +454,9 @@ def step_backward(ops: SchemeOperators, dt: float, phi_next: np.ndarray,
     values, drift = np.empty_like(phi_next), np.empty_like(phi_next)
     central = np.empty(phi_next.shape, dtype=bool)
     for iteration in range(1, policy.max_iter + 1):
-        controls, jumps, stencil = _extract_controls(sub, phi, stencil)
+        controls, expectations, stencil = _extract_controls(sub, phi, stencil)
         phi_new = thomas_solve(*assemble_system(sub, dt, controls, stencil[1],
-                                                jumps, rhs_next))
+                                                expectations, rhs_next))
         change = np.abs(phi_new - phi).max(axis=1)
         settled = change <= policy.tol
         # written as "not within bound" so that a NaN change stops at once
@@ -484,12 +486,17 @@ def step_backward(ops: SchemeOperators, dt: float, phi_next: np.ndarray,
 
 def ergodic_estimate(earlier: np.ndarray, later: np.ndarray,
                      dt: float) -> ErgodicReport:
-    """Backward-difference estimate of -dPhi/dt from the slices at t, t + dt."""
+    """Backward-difference estimate of -dPhi/dt from the slices at t, t + dt.
+
+    Each (..., n) row of the slices gives its own estimate, bitwise what
+    that row alone gives: E_mean and E_spread have the leading shape, and
+    are numpy floats for one pair of slices of shape (n,).
+    """
     if earlier.shape != later.shape:
         raise ValueError("ergodic estimate needs slices on the same mesh")
     per_node = (earlier - later) / dt
-    mean = float(np.mean(per_node))
-    spread = float(np.max(np.abs(per_node - mean)))
+    mean = np.mean(per_node, axis=-1)
+    spread = np.max(np.abs(per_node - mean[..., None]), axis=-1)
     return ErgodicReport(E_mean=mean, E_spread=spread)
 
 
@@ -502,23 +509,6 @@ def switching_points(q_field_values: np.ndarray, mesh: Mesh,
     starts, stops = edges[::2], edges[1::2]
     return [(float(mesh.nodes[i]), float(mesh.nodes[j - 1]))
             for i, j in zip(starts, stops)]
-
-
-def _control_row(c: ControlField, j: int) -> ControlField:
-    """Spec j's controls out of a batch's (k, n) rows."""
-    return ControlField(c.q_star[j], c.lambda_star[j], c.theta1_star[j],
-                        c.theta2_star[j], c.drift[j], c.cost[j])
-
-
-@dataclass
-class _March:
-    """The state of one spec's march."""
-
-    iterations: np.ndarray
-    snapshots: list[Snapshot]
-    recorded: list[ControlField] = field(default_factory=list)
-    settled_steps: int = 0
-    ergodic: ErgodicReport | None = None
 
 
 def solve_many(specs, mesh: Mesh, time_grid: TimeGrid,
@@ -557,85 +547,64 @@ def solve_many(specs, mesh: Mesh, time_grid: TimeGrid,
             raise ValueError(f"time grid horizon {time_grid.horizon} differs "
                              f"from the horizon {spec.horizon} of spec{which}")
     ops = build_scheme(specs, mesh, n_quad=n_quad)
-    dt = time_grid.dt
-    n_steps = time_grid.n_steps
+    k, dt = len(specs), time_grid.dt
+    times = {}          # level -> the first time given for it, in level order
+    for t in sorted(snapshot_times, key=time_grid.level):
+        times.setdefault(time_grid.level(t), float(t))
 
-    snap_levels = {}
-    for t in snapshot_times:
-        snap_levels.setdefault(time_grid.level(t), float(t))
-
-    phi = np.zeros((len(specs), mesh.n_nodes))
-    marches = [_March(iterations=np.zeros(n_steps, dtype=int),
-                      snapshots=[Snapshot(time=snap_levels[n_steps],
-                                          values=row)]
-                      if n_steps in snap_levels else [])
-               for row in phi]
-    results: list[SolveResult | None] = [None] * len(specs)
-    active = np.arange(len(specs))      # the specs still marching
-    sub = ops
-    for m in range(n_steps - 1, -1, -1):
-        previous = phi
-        counts = np.zeros(len(active), dtype=int)
+    # the batch's state, one row per spec: its slices at t = 0 and at each
+    # snapshot level (the terminal level's are the zeros they start as), its
+    # iterations per step and its count of consecutive settled steps
+    values = {m: np.zeros((k, mesh.n_nodes)) for m in {0, *times}}
+    iterations = np.zeros((k, time_grid.n_steps), dtype=int)
+    settled = np.zeros(k, dtype=int)
+    recorded = []       # (active, controls) of each marched step, latest last
+    results: list[SolveResult | None] = [None] * k
+    active = np.arange(k)               # the specs still marching
+    sub, phi = ops, np.zeros((k, mesh.n_nodes))
+    for m in range(time_grid.n_steps - 1, -1, -1):
+        previous, counts = phi, np.zeros(len(active), dtype=int)
         phi, stencil, _ = step_backward(sub, dt, phi, m * dt, policy, counts)
-        level = (_extract_controls(sub, phi, stencil)[0]
-                 if record_controls else None)
-        exiting = []
-        for j, i in enumerate(active):
-            march = marches[i]
-            march.iterations[m] = counts[j]
-            if record_controls:
-                march.recorded.append(_control_row(level, j))
-            if m in snap_levels:
-                march.snapshots.append(Snapshot(time=snap_levels[m],
-                                                values=phi[j]))
-            march.ergodic = ergodic_estimate(phi[j], previous[j], dt)
-            bound = ERGODIC_EXIT_SPREAD * max(1.0, abs(march.ergodic.E_mean))
-            # written as "within bound" so that a NaN spread never exits
-            march.settled_steps = (march.settled_steps + 1
-                                   if march.ergodic.E_spread <= bound else 0)
-            if march.settled_steps >= ERGODIC_EXIT_STEPS or m == 0:
-                exiting.append(j)
-        if not exiting:
+        iterations[active, m] = counts
+        if m in values:
+            values[m][active] = phi
+        ergodic = ergodic_estimate(phi, previous, dt)
+        bound = ERGODIC_EXIT_SPREAD * np.maximum(1.0, np.abs(ergodic.E_mean))
+        # written as "within bound" so that a NaN spread never exits
+        settled[active] = np.where(ergodic.E_spread <= bound,
+                                   settled[active] + 1, 0)
+        exiting = (settled[active] >= ERGODIC_EXIT_STEPS) | (m == 0)
+        if not (record_controls or exiting.any()):
             continue
-        if not record_controls:
-            level = _extract_controls(sub, phi, stencil)[0]
-        for j in exiting:
-            i = active[j]
-            controls = (marches[i].recorded[-1] if record_controls
-                        else _control_row(level, j))
-            results[i] = _finish(marches[i], phi[j], controls, m, time_grid,
-                                 mesh, snap_levels, record_controls)
-        keep = np.ones(len(active), dtype=bool)
-        keep[exiting] = False
-        if not keep.any():
+        controls = _extract_controls(sub, phi, stencil)[0]
+        if record_controls:
+            recorded.append((active, controls))
+        if not exiting.any():
+            continue
+        # the unmarched levels of the exiting specs: Phi(m) + E (m - level) dt
+        gone, e_mean = active[exiting], ergodic.E_mean[exiting, None]
+        for level, rows in values.items():
+            if level < m:
+                rows[gone] = phi[exiting] + e_mean * (m - level) * dt
+        for j in np.flatnonzero(exiting):
+            i, final = active[j], controls.row(j)
+            table = (ControlTable(time_grid, mesh, [final] * (m + 1) + [
+                         c.row(int(np.searchsorted(batch, i)))
+                         for batch, c in reversed(recorded[:-1])])
+                     if record_controls else None)
+            results[i] = SolveResult(
+                final_value=values[0][i], final_controls=final,
+                ergodic=ErgodicReport(float(ergodic.E_mean[j]),
+                                      float(ergodic.E_spread[j])),
+                iteration_stats=iterations[i, m:],
+                snapshots=[Snapshot(t, values[level][i])
+                           for level, t in times.items()],
+                exit_time=m * dt, control_table=table)
+        if exiting.all():
             break
-        active, phi = active[keep], phi[keep]
+        active, phi = active[~exiting], phi[~exiting]
         sub = ops.subset(active)
     return results
-
-
-def _finish(march: _March, phi: np.ndarray, controls: ControlField,
-            m_exit: int, time_grid: TimeGrid, mesh: Mesh, snap_levels: dict,
-            record_controls: bool) -> SolveResult:
-    """The result of a spec whose march stopped at level m_exit."""
-    dt = time_grid.dt
-    ergodic = march.ergodic
-
-    def unmarched(level: int) -> np.ndarray:
-        return phi + ergodic.E_mean * (m_exit - level) * dt
-
-    snapshots = march.snapshots + [
-        Snapshot(time=t, values=unmarched(level))
-        for level, t in snap_levels.items() if level < m_exit]
-    snapshots.sort(key=lambda s: s.time)
-    table = (ControlTable(time_grid=time_grid, mesh=mesh,
-                          levels=[controls] * m_exit + march.recorded[::-1])
-             if record_controls else None)
-    return SolveResult(final_value=unmarched(0) if m_exit else phi,
-                       final_controls=controls, ergodic=ergodic,
-                       iteration_stats=march.iterations[m_exit:],
-                       snapshots=snapshots, exit_time=m_exit * dt,
-                       control_table=table)
 
 
 def solve_backward(spec: ProblemSpec, mesh: Mesh, time_grid: TimeGrid,

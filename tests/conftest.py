@@ -67,22 +67,22 @@ def controls_at(spec, mesh, q, lam, th1, th2):
     drift = controlled_drift(spec.sigma, base_drift,
                              np.asarray(spec.growth_a(x), dtype=float),
                              spec.growth_rate_r(q), lam)
+    theta = np.stack((th1, th2))
     cost = running_cost(spec.psi0, entropy_weight(spec),
                         np.asarray(spec.disutility_f(x), dtype=float),
-                        spec.cost_h(q), lam, np.stack((th1, th2)))
-    return rp.ControlField(q_star=q, lambda_star=lam, theta1_star=th1,
-                           theta2_star=th2, drift=drift, cost=cost)
+                        spec.cost_h(q), lam, theta)
+    return rp.ControlField(q_star=q, lambda_star=lam, theta_star=theta,
+                           drift=drift, cost=cost)
 
 
 def reference_handoff(spec, ops, controls, phi):
     """What assembly takes at the controls and lagged iterate phi, evaluated
     from the spec's coefficients and the quadrature matrices of its
     operators `ops`: the controls with their drift and running-cost rows,
-    and the jumps (theta*, (W1 phi, W2 phi)), stacked by jump kind."""
+    and the jump expectations (W1 phi, W2 phi), stacked by jump kind."""
     return (controls_at(spec, ops.mesh, controls.q_star, controls.lambda_star,
-                        controls.theta1_star, controls.theta2_star),
-            (np.stack((controls.theta1_star, controls.theta2_star)),
-             np.stack([w @ phi for w in jump_matrices(ops)])))
+                        *controls.theta_star),
+            np.stack([w @ phi for w in jump_matrices(ops)]))
 
 
 def jump_matrices(ops):
@@ -99,13 +99,13 @@ def assemble_at(spec, ops, dt, controls, phi_next, phi_lagged):
     """The system `assemble_system` builds for the batch of one spec at the
     controls and the lagged iterate, from what `reference_handoff`
     evaluates; node rows in and out are 1-D."""
-    reference, (theta, expectations) = reference_handoff(spec, ops, controls,
-                                                         phi_lagged)
-    batch = rp.ControlField(*(row[None] for row in vars(reference).values()))
+    reference, expectations = reference_handoff(spec, ops, controls,
+                                                phi_lagged)
+    batch = rp.ControlField(**{name: row[..., None, :]
+                               for name, row in vars(reference).items()})
     rows = assemble_system(ops, dt, batch,
                            _central_mask(ops.two_d_dx, batch.drift),
-                           (theta[:, None], expectations[:, None]),
-                           phi_next[None] / dt)
+                           expectations[:, None], phi_next[None] / dt)
     return System(*(row[0] for row in rows))
 
 

@@ -66,7 +66,8 @@ def test_criterion_03_mirror_symmetry(bench_mesh, bench_time_grid):
     scale = float(np.max(np.abs(phi)))
     phi_gap = float(np.max(np.abs(phi - phi[::-1])))
     lam_gap = float(np.max(np.abs(ctrl.lambda_star + ctrl.lambda_star[::-1])))
-    th_gap = float(np.max(np.abs(ctrl.theta1_star - ctrl.theta2_star[::-1])))
+    th1, th2 = ctrl.theta_star
+    th_gap = float(np.max(np.abs(th1 - th2[::-1])))
     ok = phi_gap <= 1e-6 * scale and lam_gap <= 1e-6 and th_gap <= 1e-6
     _report(3, ok, f"|phi(x)-phi(1-x)| {phi_gap:.2e} <= {1e-6 * scale:.2e}, "
                    f"lambda antisymmetry {lam_gap:.2e}, "

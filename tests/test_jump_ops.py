@@ -3,8 +3,9 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 from scipy.special import xlogy
 
 from robpop.grid import build_mesh
@@ -15,12 +16,11 @@ from robpop.model import tabulated_density, uniform_density
 from conftest import nonlocal_at
 
 
-def brute_force_distorted_jump(delta, nu, psi, theta_grid):
-    """Direct minimization of nu*theta*delta + (nu/psi)(theta ln theta + 1 - theta)."""
-    penalty = xlogy(theta_grid, theta_grid) + 1.0 - theta_grid
-    objective = (nu * theta_grid[:, None] * delta[None, :]
-                 + (nu / psi) * penalty[:, None])
-    return objective.min(axis=0)
+def distorted_jump_objective(theta, delta, nu, psi):
+    """nu theta delta + (nu/psi)(theta ln theta + 1 - theta), which theta*
+    minimizes over [0, theta_max]."""
+    penalty = xlogy(theta, theta) + 1.0 - theta
+    return nu * theta * delta + (nu / psi) * penalty
 
 
 @pytest.fixture(scope="module")
@@ -205,18 +205,27 @@ def test_values_stay_below_asymptote(mesh):
             assert values.max() < nu / psi
 
 
-def test_closed_form_matches_brute_force_minimization(mesh):
-    quad_down = build_jump_quadrature(mesh, uniform_density(0.1, 0.9), "down")
-    quad_up = build_jump_quadrature(mesh, uniform_density(0.1, 0.9), "up")
-    theta_grid = np.linspace(0.0, 3.0, 10_000)
-    rng = np.random.default_rng(42)
-    phi = rng.uniform(0.0, 1.0, mesh.n_nodes)
-    for quad in (quad_down, quad_up):
-        for nu, psi in ((1.0, 0.5), (0.5, 1.0), (2.0, 0.5)):
-            values, delta, _ = nonlocal_at(quad, phi, nu, psi,
-                                              theta_max=100.0)
-            brute = brute_force_distorted_jump(delta, nu, psi, theta_grid)
-            np.testing.assert_allclose(values, brute, atol=1e-6)
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["down", "up"]), seed=st.integers(0, 2 ** 32 - 1),
+       amplitude=st.floats(0.01, 3.0), nu=st.floats(0.1, 2.0),
+       psi=st.floats(0.1, 2.0))
+@example(kind="down", seed=42, amplitude=1.0, nu=1.0, psi=0.5)
+def test_closed_form_matches_brute_force_minimization(mesh, kind, seed,
+                                                      amplitude, nu, psi):
+    # |delta| <= amplitude and psi <= 2 keep theta* below exp(6), so the
+    # bound theta_max = 1e3 never clamps it
+    quad = build_jump_quadrature(mesh, uniform_density(0.1, 0.9), kind)
+    phi = amplitude * np.random.default_rng(seed).uniform(0.0, 1.0,
+                                                          mesh.n_nodes)
+    values, delta, _ = nonlocal_at(quad, phi, nu, psi, theta_max=1e3)
+    for value, gap in zip(values, delta):
+        brute = minimize_scalar(distorted_jump_objective, bounds=(0.0, 1e3),
+                                args=(gap, nu, psi), method="bounded",
+                                options={"xatol": 1e-12}).fun
+        scale = nu / psi + abs(brute)
+        # no worse than the minimizer, up to rounding, and equal to it
+        assert value <= brute + 1e-13 * scale
+        assert abs(value - brute) <= 1e-12 * scale
 
 
 def test_operator_vanishes_at_fixed_points():

@@ -230,8 +230,7 @@ def test_node_rows_match_the_per_path_composition(with_control):
     for level in {id(lv): lv for lv in table.levels}.values():
         cost_row, drift_row, _, _ = rp.mc._level_rows(level)
         q, lam, th1, th2 = (np.interp(xs, nodes, row) for row in (
-            level.q_star, level.lambda_star, level.theta1_star,
-            level.theta2_star))
+            level.q_star, level.lambda_star, *level.theta_star))
         cost = (spec.disutility_f(xs) + spec.cost_h(q)
                 - lam ** 2 / (2.0 * spec.psi0)
                 - (spec.nu1 / spec.psi1) * entropy_penalty(th1)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import robpop as rp
 from robpop.model import tabulated, zero_rate
-from robpop.solver import (ControlField, PolicyConfig, PolicyIterationError,
-                           SchemeError, SingularSystemError, _central_mask,
+from robpop.solver import (PolicyConfig, PolicyIterationError, SchemeError,
+                           SingularSystemError, _central_mask,
                            _extract_controls, _gradient, build_scheme,
                            ergodic_estimate, step_backward, switching_points,
                            thomas_solve)
@@ -185,7 +185,7 @@ def test_end_rows_hold_only_the_inward_drift():
     dt = 0.005
     sys = assemble_at(spec, ops, dt, controls, phi, phi)
     b = controls.drift
-    th1, th2 = controls.theta1_star, controls.theta2_star
+    th1, th2 = controls.theta_star
     assert b[0] > 0.0 > b[-1]
     assert sys.upper[0] == -b[0] / dx
     assert sys.diag[0] == (1.0 / dt + spec.nu1 * th1[0] + spec.nu2 * th2[0]
@@ -211,7 +211,7 @@ def test_m_matrix_check_rejects_nan_entries():
     ops = build_scheme(spec, rp.build_mesh(20))
     n = ops.mesh.n_nodes
     controls = neutral_controls(spec, ops.mesh)
-    controls.theta1_star[7] = np.nan
+    controls.theta_star[0, 7] = np.nan
     with pytest.raises(SchemeError):
         assemble_at(spec, ops, 0.005, controls, np.zeros(n), np.zeros(n))
 
@@ -224,14 +224,12 @@ def test_extraction_hands_assembly_what_it_would_evaluate():
     x = ops.mesh.nodes
     phi = 4.0 * (x - 0.5) ** 2 + 0.1 * np.sin(9.0 * x)
     stencil = (ops.first_drift, ops.first_central)
-    batch, (theta, w), _ = _extract_controls(ops, phi[None], stencil)
-    controls = ControlField(*(row[0] for row in vars(batch).values()))
+    batch, w, _ = _extract_controls(ops, phi[None], stencil)
+    controls = batch.row(0)
     assert set(controls.q_star.tolist()) == {0.0, 0.5, 1.0}
-    reference, (ref_theta, ref_w) = reference_handoff(spec, ops, controls,
-                                                       phi)
+    reference, ref_w = reference_handoff(spec, ops, controls, phi)
     assert np.array_equal(controls.drift, reference.drift)
     assert np.array_equal(controls.cost, reference.cost)
-    assert np.array_equal(theta[:, 0], ref_theta)
     np.testing.assert_allclose(w[:, 0], ref_w, rtol=0.0, atol=1e-12)
 
 
@@ -267,8 +265,7 @@ def test_step_backward_zero_is_fixed_point():
     controls = _extract_controls(ops, phi, stencil)[0]
     np.testing.assert_allclose(phi, 0.0, atol=1e-14)
     np.testing.assert_allclose(controls.lambda_star, 0.0, atol=1e-14)
-    np.testing.assert_allclose(controls.theta1_star, 1.0, atol=1e-14)
-    np.testing.assert_allclose(controls.theta2_star, 1.0, atol=1e-14)
+    np.testing.assert_allclose(controls.theta_star, 1.0, atol=1e-14)
     assert n_iters == 1
 
 
@@ -337,7 +334,7 @@ def test_solve_backward_records_snapshots():
     np.testing.assert_allclose(terminal.values, 0.0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # NaN cast to a level
+@pytest.mark.filterwarnings("error::RuntimeWarning")   # NaN raises, unwarned
 @pytest.mark.parametrize("t", [0.505, -0.1, 1.1, float("nan")])
 def test_snapshot_time_off_the_time_levels_raises(t):
     spec = replace(rp.make_paper_spec(False), horizon=1.0)
@@ -420,7 +417,8 @@ def test_mirror_symmetry_without_growth_drift():
     scale = np.max(np.abs(phi))
     assert np.max(np.abs(phi - phi[::-1])) <= 1e-6 * scale
     assert np.max(np.abs(ctrl.lambda_star + ctrl.lambda_star[::-1])) <= 1e-6
-    assert np.max(np.abs(ctrl.theta1_star - ctrl.theta2_star[::-1])) <= 1e-6
+    th1, th2 = ctrl.theta_star
+    assert np.max(np.abs(th1 - th2[::-1])) <= 1e-6
 
 
 def test_intervention_reduces_value():
@@ -448,6 +446,15 @@ def test_ergodic_estimate_stationary():
     values = np.linspace(0.0, 1.0, 11)
     report = ergodic_estimate(values, values.copy(), 0.01)
     assert report.E_mean == 0.0
+
+
+def test_ergodic_estimate_of_rows_is_each_row_alone():
+    rows = np.random.default_rng(5).uniform(0.0, 1.0, (2, 3, 41))
+    report = ergodic_estimate(rows[0], rows[1], 0.01)
+    for j in range(3):
+        alone = ergodic_estimate(rows[0, j], rows[1, j], 0.01)
+        assert report.E_mean[j] == alone.E_mean
+        assert report.E_spread[j] == alone.E_spread
 
 
 def test_ergodic_estimate_rejects_bad_labels():
@@ -495,7 +502,7 @@ def plain_march(spec, mesh, time_grid):
                                            m * dt)
         level = _extract_controls(ops, values, stencil)[0]
         slices[m] = values[0]
-        controls[m] = ControlField(*(row[0] for row in vars(level).values()))
+        controls[m] = level.row(0)
     return slices, controls, ergodic_estimate(slices[0], slices[1], dt)
 
 
@@ -578,10 +585,11 @@ def assert_batch_is_each_spec_alone(specs, record_controls):
     """Solve `specs` as one batch and each spec alone (30 cells, T = 40, dt
     = 0.2) and compare every result bit for bit; returns the batch's."""
     mesh, tg = rp.build_mesh(30), rp.build_time_grid(40.0, 0.2)
-    batch = rp.solve_many(specs, mesh, tg, snapshot_times=(1.0, 30.0),
+    times = (0.0, 1.0, 30.0, 40.0)
+    batch = rp.solve_many(specs, mesh, tg, snapshot_times=times,
                           record_controls=record_controls)
     for spec, got in zip(specs, batch):
-        alone = rp.solve_backward(spec, mesh, tg, snapshot_times=(1.0, 30.0),
+        alone = rp.solve_backward(spec, mesh, tg, snapshot_times=times,
                                   record_controls=record_controls)
         assert np.array_equal(got.final_value, alone.final_value)
         assert same_controls(got.final_controls, alone.final_controls)
