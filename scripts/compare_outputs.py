@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Byte-for-byte comparison of the outputs of two checkouts.
 
-Runs ``robpop.cli.execute`` in a fresh interpreter in the parent and in the
-change checkout on each of these inputs:
+Runs the ``robpop.cli`` command line in a fresh interpreter in the parent
+and in the change checkout on each of these inputs:
 
 - the benchmark workloads, with the config text of
   ``Workload.config_text(root, 2024)`` from ``perfbench/suite.py``;
@@ -10,7 +10,11 @@ change checkout on each of these inputs:
   ``time.dt = 0.1``;
 - ``configs/solve_controlled.txt`` with ``time.dt = 0.1`` and the snapshot
   times ``SNAPSHOT_TIMES``: two levels below the ergodic exit, the exit
-  t* = 29.5 itself, a marched level and the terminal level.
+  t* = 29.5 itself, a marched level and the terminal level;
+- ``configs/sweep_psi0.txt`` with ``time.dt = 0.2`` and the invalid base
+  ``model.psi0 = -1.0``, which every swept spec replaces (exit 0);
+- the same sweep along sigma with one invalid swept value, -1 (exit 1, a
+  usage error, and no output file).
 
 It compares the two exit codes and every output file byte for byte, the
 provenance lines included, prints one line per run and exits 1 on any
@@ -35,10 +39,6 @@ SOLVE_CONFIGS = ("solve_controlled.txt", "solve_uncontrolled.txt",
 SNAPSHOT_TIMES = [0.0, 5.0, 29.5, 45.0, 50.0]
 THREAD_PINS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
                "MKL_NUM_THREADS": "1"}
-# reads the config text on stdin and writes the outputs to argv[1]
-CHILD = ("import sys; from robpop import cli; "
-         "cfg = cli.resolve_config(cli.parse_config_text(sys.stdin.read())); "
-         "sys.exit(cli.execute(cfg, sys.argv[1], quiet=True))")
 
 
 def inputs(root: Path) -> dict[str, str]:
@@ -53,13 +53,24 @@ def inputs(root: Path) -> dict[str, str]:
     runs["solve_controlled.txt dt=0.1 snapshots"] = (
         f"{runs['solve_controlled.txt dt=0.1']}"
         f"snapshot_times = {SNAPSHOT_TIMES}\n")
+    sweep = (root / "configs" / "sweep_psi0.txt").read_text()
+    runs["sweep_psi0.txt dt=0.2 base psi0=-1"] = (
+        f"{sweep}\ntime.dt = 0.2\nmodel.psi0 = -1.0\n")
+    runs["sweep_psi0.txt dt=0.2 sigma values [1, -1]"] = (
+        f"{sweep}\ntime.dt = 0.2\nsweep.param = 'sigma'\n"
+        f"sweep.values = [1.0, -1.0]\n")
     return runs
 
 
 def execute(root: Path, text: str, out: Path) -> int:
-    """The exit code of one execute of ``text`` in ``root``, writing to ``out``."""
+    """The exit code of the command line run on ``text`` in ``root``, writing
+    to ``out``; the config file is written next to ``out``."""
+    config = out.parent / f"{out.name}.cfg"
+    config.parent.mkdir(parents=True, exist_ok=True)
+    config.write_text(text)
     env = dict(os.environ, **THREAD_PINS, PYTHONPATH=str(root / "src"))
-    return subprocess.run([sys.executable, "-c", CHILD, str(out)], input=text,
+    return subprocess.run([sys.executable, "-m", "robpop.cli", "--config",
+                           str(config), "--out", str(out), "--quiet"],
                           cwd=root, env=env, capture_output=True,
                           text=True).returncode
 

@@ -9,8 +9,10 @@ Commands: ``solve`` writes value.csv, controls.csv, ergodic.csv, omega1.csv;
 ``sweep`` solves the specs along one parameter axis together, as one
 batch in this process, and writes sweep.csv;
 ``mc-check`` cross-validates the solved value against the Monte Carlo
-estimator. Exit codes: 0 success, 1 usage, 2 solver failure, 3 mc-check gate
-failure.
+estimator. Each command builds the specs it solves, and a `ProblemSpec`
+checks itself when it is built, so an invalid model is a usage error like
+any other. Exit codes: 0 success, 1 usage (a bad config, setting or model),
+2 solver failure, 3 mc-check gate failure.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import argparse
 import ast
 import math
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +31,7 @@ from .mc import SimConfig, simulate_value
 from .model import (SCALAR_FIELDS, ProblemSpec, declining_rate,
                     logistic_growth, make_paper_spec, tabulated,
                     tabulated_density, tent_disutility, tenth_cost,
-                    uniform_density, unit_rate, validate_spec, zero_cost,
-                    zero_rate)
+                    uniform_density, unit_rate, zero_cost, zero_rate)
 from .solver import (PolicyConfig, PolicyIterationError, SchemeError,
                      solve_backward, solve_many, switching_points)
 
@@ -57,8 +57,9 @@ COEFFICIENT_PRESETS = {
 
 NUMBER_LISTS = ("snapshot_times", "sweep.values")
 
-SWEEPABLE = ("psi0", "psi1", "psi2", "psi", "sigma", "gamma0", "gamma1",
-             "nu1", "nu2", "lambda_max", "theta_max", "q_max")
+# every scalar field but the horizon, which sets the shared time grid; "psi"
+# sets psi1 and psi2 together
+SWEEPABLE = tuple(n for n in SCALAR_FIELDS if n != "horizon") + ("psi",)
 
 # canonical key order (also the provenance order); the model, solver, q grid
 # and oracle defaults are the library's
@@ -108,19 +109,9 @@ def parse_config_text(text: str) -> dict[str, object]:
     return entries
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    items: dict[str, object]
-
-    def __getitem__(self, key: str):
-        return self.items[key]
-
-    def provenance(self) -> str:
-        return "; ".join(f"{k} = {_fmt_value(v)}" for k, v in self.items.items())
-
-
-def resolve_config(entries: dict[str, object]) -> RunConfig:
-    """Fill defaults (coefficient defaults follow the preset) and validate."""
+def resolve_config(entries: dict[str, object]) -> dict[str, object]:
+    """Fill defaults (coefficient defaults follow the preset) and validate;
+    returns every key, in `DEFAULTS` order."""
     preset = entries.get("preset", DEFAULTS["preset"])
     if preset not in ("uncontrolled", "controlled"):
         raise ConfigError(f"unknown preset {preset!r}")
@@ -153,7 +144,12 @@ def resolve_config(entries: dict[str, object]) -> RunConfig:
             raise ConfigError(f"sweep.param must be one of {SWEEPABLE}")
         if not resolved["sweep.values"]:
             raise ConfigError("sweep.values must be a nonempty list")
-    return RunConfig(items={k: resolved[k] for k in DEFAULTS})
+    return {k: resolved[k] for k in DEFAULTS}
+
+
+def provenance(cfg: dict[str, object]) -> str:
+    """The resolved config as one line of statements that re-parses to it."""
+    return "; ".join(f"{k} = {_fmt_value(v)}" for k, v in cfg.items())
 
 
 def _value_type(key: str):
@@ -203,22 +199,17 @@ def _jump_density(value, name):
         raise ConfigError(f"bad {name}: {exc}") from exc
 
 
-def build_spec(cfg: RunConfig) -> ProblemSpec:
-    it = cfg.items
+def build_spec(cfg: dict[str, object]) -> ProblemSpec:
+    """The spec of a resolved config's ``model.*`` keys; an invalid model
+    raises the ValueError of `ProblemSpec`."""
     return ProblemSpec(
-        **{name: float(it["model." + name]) for name in SCALAR_FIELDS},
-        **{name: _coefficient(it["model." + name], presets, name)
+        **{name: float(cfg["model." + name]) for name in SCALAR_FIELDS},
+        **{name: _coefficient(cfg["model." + name], presets, name)
            for name, presets in COEFFICIENT_PRESETS.items()},
-        jump_density_1=_jump_density(it["model.jump1"], "model.jump1"),
-        jump_density_2=_jump_density(it["model.jump2"], "model.jump2"),
-        q_grid_size=int(it["model.q_grid_size"]),
+        jump_density_1=_jump_density(cfg["model.jump1"], "model.jump1"),
+        jump_density_2=_jump_density(cfg["model.jump2"], "model.jump2"),
+        q_grid_size=int(cfg["model.q_grid_size"]),
     )
-
-
-def _sweep_spec(base: ProblemSpec, param: str, value: float) -> ProblemSpec:
-    if param == "psi":
-        return replace(base, psi1=value, psi2=value)
-    return replace(base, **{param: value})
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +222,9 @@ def _fmt_num(v) -> str:
     return f"{float(v):.17g}"
 
 
-def _write_csv(path: Path, provenance: str, header: list[str], rows) -> None:
+def _write_csv(path: Path, prov: str, header: list[str], rows) -> None:
     with open(path, "w") as fh:
-        fh.write(f"# config: {provenance}\n")
+        fh.write(f"# config: {prov}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt_num(v) for v in row) + "\n")
@@ -243,10 +234,10 @@ def _write_csv(path: Path, provenance: str, header: list[str], rows) -> None:
 # commands
 # ---------------------------------------------------------------------------
 
-def _run_setup(cfg: RunConfig, spec: ProblemSpec):
+def _run_setup(cfg: dict[str, object]):
     """Mesh, time grid and the solver keywords that every command passes."""
     mesh = build_mesh(int(cfg["mesh.n_cells"]))
-    tg = build_time_grid(spec.horizon, float(cfg["time.dt"]))
+    tg = build_time_grid(float(cfg["model.horizon"]), float(cfg["time.dt"]))
     policy = PolicyConfig(tol=float(cfg["solver.tol"]),
                           max_iter=int(cfg["solver.max_iter"]))
     return mesh, tg, {"policy": policy, "n_quad": int(cfg["solver.n_quad"])}
@@ -257,14 +248,13 @@ def _omega1(result, spec: ProblemSpec, mesh) -> list[tuple[float, float]]:
     return switching_points(result.final_controls.q_star, mesh, spec.q_max / 2)
 
 
-def _run_solve(cfg: RunConfig, spec: ProblemSpec, out: Path, quiet: bool) -> int:
-    if not _valid([spec]):
-        return 1
-    mesh, tg, solver_kw = _run_setup(cfg, spec)
+def _run_solve(cfg: dict[str, object], out: Path, quiet: bool) -> int:
+    spec = build_spec(cfg)
+    mesh, tg, solver_kw = _run_setup(cfg)
     result = solve_backward(spec, mesh, tg,
                             snapshot_times=tuple(cfg["snapshot_times"]),
                             **solver_kw)
-    prov = cfg.provenance()
+    prov = provenance(cfg)
     phi = result.final_value
     ctrl = result.final_controls
     _write_csv(out / "value.csv", prov, ["x", "phi"],
@@ -300,13 +290,14 @@ def _run_solve(cfg: RunConfig, spec: ProblemSpec, out: Path, quiet: bool) -> int
     return 0
 
 
-def _run_sweep(cfg: RunConfig, base: ProblemSpec, out: Path, quiet: bool) -> int:
+def _run_sweep(cfg: dict[str, object], out: Path, quiet: bool) -> int:
     param = cfg["sweep.param"]
     values = sorted(float(v) for v in cfg["sweep.values"])
-    specs = [_sweep_spec(base, param, v) for v in values]
-    if not _valid(specs):
-        return 1
-    mesh, tg, solver_kw = _run_setup(cfg, base)
+    # each swept spec is built from the config with its swept value, so an
+    # invalid base value that every swept spec replaces is never built
+    keys = ["model.psi1", "model.psi2"] if param == "psi" else ["model." + param]
+    specs = [build_spec({**cfg, **dict.fromkeys(keys, v)}) for v in values]
+    mesh, tg, solver_kw = _run_setup(cfg)
     try:
         results = solve_many(specs, mesh, tg, **solver_kw)
     except (PolicyIterationError, SchemeError) as exc:
@@ -321,7 +312,7 @@ def _run_sweep(cfg: RunConfig, base: ProblemSpec, out: Path, quiet: bool) -> int
         rows.append((v, res.ergodic.E_mean, res.ergodic.E_spread,
                      res.final_value.min(), left, right,
                      len(intervals)))
-    _write_csv(out / "sweep.csv", cfg.provenance(),
+    _write_csv(out / "sweep.csv", provenance(cfg),
                [param, "E_mean", "E_spread", "min_phi",
                 "omega1_left", "omega1_right", "n_intervals"], rows)
     if not quiet:
@@ -332,14 +323,13 @@ def _run_sweep(cfg: RunConfig, base: ProblemSpec, out: Path, quiet: bool) -> int
     return 0
 
 
-def _run_mc_check(cfg: RunConfig, spec: ProblemSpec, out: Path, quiet: bool) -> int:
-    if not _valid([spec]):
-        return 1
+def _run_mc_check(cfg: dict[str, object], out: Path, quiet: bool) -> int:
+    spec = build_spec(cfg)
     sim = SimConfig(dt_sim=float(cfg["mc.dt_sim"]),
                     n_paths=int(cfg["mc.n_paths"]),
                     master_seed=int(cfg["mc.seed"]),
                     start_x=float(cfg["mc.start_x"]))
-    mesh, tg, solver_kw = _run_setup(cfg, spec)
+    mesh, tg, solver_kw = _run_setup(cfg)
     sim.n_steps(spec.horizon, tg.dt)    # bad settings fail before the solve
     result = solve_backward(spec, mesh, tg, record_controls=True, **solver_kw)
     pde_value = float(np.interp(sim.start_x, mesh.nodes, result.final_value))
@@ -347,7 +337,7 @@ def _run_mc_check(cfg: RunConfig, spec: ProblemSpec, out: Path, quiet: bool) -> 
     diff = abs(estimate.mean - pde_value)
     gate = 3.0 * estimate.std_err + float(cfg["mc.gate_abs"])
     passed = diff <= gate
-    _write_csv(out / "mc_check.csv", cfg.provenance(),
+    _write_csv(out / "mc_check.csv", provenance(cfg),
                ["pde_value", "mc_mean", "mc_std_err", "abs_diff", "gate",
                 "passed"],
                [(pde_value, estimate.mean, estimate.std_err, diff, gate,
@@ -362,28 +352,19 @@ def _run_mc_check(cfg: RunConfig, spec: ProblemSpec, out: Path, quiet: bool) -> 
     return 0 if passed else 3
 
 
-def _valid(specs) -> bool:
-    """Validate the specs a command will solve, before it solves any of them.
+def execute(cfg: dict[str, object], out_dir, quiet: bool = False) -> int:
+    """Dispatch one resolved run; returns the process exit code.
 
-    Each distinct violation is reported once; a bad swept value is then a
-    usage error (exit 1) rather than a failure after the batch has run.
+    The command builds the specs it solves before it solves any of them, so
+    a bad model or setting raises its ValueError (exit 1 in `main`) before
+    the solve.
     """
-    violations = dict.fromkeys(v for spec in specs
-                               for v in validate_spec(spec))
-    for violation in violations:
-        print(f"invalid model: {violation}", file=sys.stderr)
-    return not violations
-
-
-def execute(cfg: RunConfig, out_dir, quiet: bool = False) -> int:
-    """Dispatch one resolved run; returns the process exit code."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    spec = build_spec(cfg)
     run = {"solve": _run_solve, "sweep": _run_sweep,
            "mc-check": _run_mc_check}[cfg["command"]]
     try:
-        return run(cfg, spec, out, quiet)
+        return run(cfg, out, quiet)
     except (PolicyIterationError, SchemeError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2

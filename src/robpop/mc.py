@@ -62,11 +62,16 @@ class SimConfig:
 
     def __post_init__(self):
         # written as "not within bound" so that NaN fails
-        if not (self.dt_sim > 0.0 and self.n_paths >= 1):
-            raise ValueError("dt_sim and n_paths must be positive")
+        if not self.dt_sim > 0.0:
+            raise ValueError(f"dt_sim must be positive, got {self.dt_sim}")
+        if not (isinstance(self.n_paths, (int, np.integer))
+                and self.n_paths >= 1):
+            raise ValueError(f"n_paths must be a positive integer, "
+                             f"got {self.n_paths}")
         if not 0.0 <= self.start_x <= 1.0:
             raise ValueError("start_x must lie in [0, 1]")
-        if self.master_seed < 0:
+        if not (isinstance(self.master_seed, (int, np.integer))
+                and self.master_seed >= 0):
             raise ValueError(f"master_seed must be a nonnegative integer, "
                              f"got {self.master_seed}")
 

@@ -4,7 +4,10 @@ A :class:`ProblemSpec` collects everything that defines one control problem:
 the noise magnitudes, migration intensities, jump intensities and densities,
 ambiguity-aversion weights, control bounds, the horizon, and the coefficient
 functions (density-dependent growth, controlled growth rate, control cost,
-disutility). Specs are immutable.
+disutility). Specs are immutable and valid by construction: building one,
+by `ProblemSpec(...)` or `dataclasses.replace`, runs `validate_spec` and
+raises one ValueError listing every violation, so a `ProblemSpec` that
+exists is valid and no solve checks it again.
 The field defaults are the paper's uncontrolled benchmark, and
 `make_paper_spec` states its controlled variant.
 
@@ -149,7 +152,11 @@ def tabulated_density(points) -> JumpDensity:
 
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
-    """One control problem; the defaults are the uncontrolled benchmark."""
+    """One control problem; the defaults are the uncontrolled benchmark.
+
+    Construction raises a ValueError that starts with ``invalid model:`` and
+    lists every violation `validate_spec` finds.
+    """
 
     sigma: float = 1.0          # continuous-noise magnitude
     gamma0: float = 0.1         # decay / outward-migration intensity
@@ -171,6 +178,11 @@ class ProblemSpec:
     jump_density_1: JumpDensity = uniform_density(0.1, 0.9)
     jump_density_2: JumpDensity = uniform_density(0.1, 0.9)
     q_grid_size: int = 2    # candidate interventions for the discrete argmax
+
+    def __post_init__(self):
+        violations = validate_spec(self)
+        if violations:
+            raise ValueError("invalid model: " + "; ".join(violations))
 
     def q_grid(self) -> np.ndarray:
         return np.linspace(0.0, self.q_max, self.q_grid_size)

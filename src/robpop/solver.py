@@ -50,7 +50,7 @@ from .grid import Mesh, TimeGrid
 from .jump_ops import (N_QUAD, JumpQuadrature, apply_nonlocal,
                        build_jump_quadrature, entropy_penalty)
 from .local_ops import lambda_field, q_candidates, q_field
-from .model import ProblemSpec, validate_spec
+from .model import ProblemSpec
 
 
 # ergodic exit: the march stops once E_spread <= ERGODIC_EXIT_SPREAD *
@@ -154,8 +154,10 @@ class PolicyConfig:
         # written so that a NaN tolerance fails
         if not self.tol > 0.0:
             raise ValueError(f"policy tol must be > 0, got {self.tol}")
-        if not self.max_iter >= 1:
-            raise ValueError(f"policy max_iter must be >= 1, got {self.max_iter}")
+        if not (isinstance(self.max_iter, (int, np.integer))
+                and self.max_iter >= 1):
+            raise ValueError(f"policy max_iter must be an integer >= 1, "
+                             f"got {self.max_iter}")
 
 
 # ---------------------------------------------------------------------------
@@ -530,19 +532,16 @@ def solve_many(specs, mesh: Mesh, time_grid: TimeGrid,
     ergodic report always comes from the last two marched slices. Each
     result is bitwise what solving its spec alone gives. `record_controls`
     keeps the control fields of every level (memory scales with n_steps;
-    intended for short horizons, e.g. the Monte Carlo cross-check). Every
-    spec must pass `validate_spec`. A failure names the spec by its index in
-    `specs` (`spec_index` of the error).
+    intended for short horizons, e.g. the Monte Carlo cross-check). A
+    `ProblemSpec` is valid by construction, so no spec is checked again
+    here. A failure names the spec by its index in `specs` (`spec_index` of
+    the error).
     """
     specs = tuple(specs)
     if not specs:
         return []
     for i, spec in enumerate(specs):
         which = f" {i}" if len(specs) > 1 else ""
-        violations = validate_spec(spec)
-        if violations:
-            raise ValueError(f"invalid problem spec{which}:\n"
-                             + "\n".join(violations))
         if not time_grid.ends_at(spec.horizon):
             raise ValueError(f"time grid horizon {time_grid.horizon} differs "
                              f"from the horizon {spec.horizon} of spec{which}")

@@ -98,7 +98,7 @@ def test_resolution_validates_command_and_sweep():
 
 def test_resolved_order_is_canonical():
     cfg = resolve_config({"model.psi0": 0.25})
-    assert list(cfg.items) == list(DEFAULTS)
+    assert list(cfg) == list(DEFAULTS)
 
 
 def test_defaults_mirror_benchmark_resolution():

@@ -8,8 +8,8 @@ import robpop as rp
 from robpop.jump_ops import entropy_penalty
 from robpop.mc import SimConfig, make_jump_sampler
 from robpop.model import (tabulated, tabulated_density, tent_disutility,
-                          uniform_density)
-from robpop.solver import ControlTable, running_cost
+                          uniform_density, zero_rate)
+from robpop.solver import ControlTable, PolicyConfig, running_cost
 
 from conftest import controls_at, entropy_weight
 
@@ -99,10 +99,11 @@ def test_zero_cost_zero_distortion_is_exactly_zero():
 
 
 def test_constant_rate_integral_is_exact():
-    # frozen state, unit disutility: the left-endpoint rule integrates to
-    # exactly T with a dyadic step
+    # frozen state (no noise, migration, jumps or growth rate), unit
+    # disutility: the left-endpoint rule integrates to exactly T with a
+    # dyadic step
     spec = replace(rp.make_paper_spec(False), sigma=0.0, nu1=0.0, nu2=0.0,
-                   gamma0=0.0, gamma1=0.0, growth_a=ZERO_FN,
+                   gamma0=0.0, gamma1=0.0, growth_rate_r=zero_rate,
                    disutility_f=ONE_FN, horizon=2.0)
     est = rp.simulate_value(spec, constant_table(spec),
                             SimConfig(dt_sim=2.0 ** -11, n_paths=8,
@@ -266,7 +267,10 @@ def test_coefficient_calls_do_not_depend_on_paths_or_steps_per_level():
     # per level
     for n_paths, dt_sim in ((50, 0.01), (500, 0.01), (50, 0.0025)):
         counters = {name: CallCounter(getattr(spec, name)) for name in names}
-        rp.simulate_paths(replace(spec, **counters), table,
+        counted = replace(spec, **counters)
+        for counter in counters.values():     # not the construction check's
+            counter.calls = 0
+        rp.simulate_paths(counted, table,
                           SimConfig(dt_sim=dt_sim, n_paths=n_paths,
                                     master_seed=7))
         calls.append({name: c.calls for name, c in counters.items()})
@@ -276,27 +280,36 @@ def test_coefficient_calls_do_not_depend_on_paths_or_steps_per_level():
                         "growth_rate_r": 0, "cost_h": 0}
 
 
-def nan_at_half(fn):
-    def coefficient(x):
+class NanAtHalf:
+    """fn, but NaN at 0.5 once armed. The construction check samples 0.5,
+    so the spec is built unarmed: a coefficient that is NaN only where the
+    check's samples miss it still reaches the oracle."""
+
+    def __init__(self, fn):
+        self.fn, self.armed = fn, False
+
+    def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        return np.where(x == 0.5, np.nan, fn(x))
-    return coefficient
+        return np.where(self.armed & (x == 0.5), np.nan, self.fn(x))
 
 
 @pytest.mark.parametrize("name, override, controls", [
-    ("running cost", {"disutility_f": nan_at_half(tent_disutility)}, {}),
-    ("running cost", {"cost_h": nan_at_half(rp.model.tenth_cost)},
+    ("running cost", {"disutility_f": tent_disutility}, {}),
+    ("running cost", {"cost_h": rp.model.tenth_cost},
      {"q": np.linspace(0.0, 1.0, 11)}),
     ("running cost", {}, {"th1": np.where(np.linspace(0.0, 1.0, 11) == 0.5,
                                           np.nan, 1.0)}),
-    ("drift", {"growth_rate_r": nan_at_half(rp.model.declining_rate)},
+    ("drift", {"growth_rate_r": rp.model.declining_rate},
      {"q": np.linspace(0.0, 1.0, 11)}),
-    ("diffusion", {"growth_a": nan_at_half(rp.model.logistic_growth)}, {}),
+    ("diffusion", {"growth_a": rp.model.logistic_growth}, {}),
 ], ids=lambda v: v.replace(" ", "_") if isinstance(v, str) else None)
 def test_non_finite_row_fails_fast(name, override, controls):
     # a NaN at one node used to reach the path state and surface as a
     # misleading "interpolation points must lie in [0, 1]"
-    spec = replace(rp.make_paper_spec(False), horizon=0.1, **override)
+    coefficients = {field: NanAtHalf(fn) for field, fn in override.items()}
+    spec = replace(rp.make_paper_spec(False), horizon=0.1, **coefficients)
+    for coefficient in coefficients.values():
+        coefficient.armed = True
     with pytest.raises(ValueError, match=f"{name} row is not finite at node 5"):
         rp.simulate_paths(spec, constant_table(spec, **controls),
                           SimConfig(dt_sim=0.01, n_paths=16))
@@ -305,6 +318,19 @@ def test_non_finite_row_fails_fast(name, override, controls):
 # ---------------------------------------------------------------------------
 # argument validation and table lookup
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("make, kwargs, named", [
+    (PolicyConfig, {"max_iter": 2.5}, "max_iter"),
+    (SimConfig, {"n_paths": 2.5}, "n_paths"),
+    (SimConfig, {"master_seed": float("nan")}, "master_seed"),
+    (SimConfig, {"master_seed": 1.5}, "master_seed"),
+])
+def test_integer_setting_fails_on_construction(make, kwargs, named):
+    # unchecked, each failed later with a TypeError from range, np.full or
+    # SeedSequence
+    with pytest.raises(ValueError, match=f"{named} must be a"):
+        make(**kwargs)
+
 
 def test_rejects_horizon_not_covered_by_controls():
     spec = replace(rp.make_paper_spec(False), horizon=1.0)

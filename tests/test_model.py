@@ -3,11 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from robpop.grid import build_mesh, build_time_grid
-from robpop.model import (JumpDensity, TabulatedFunction, make_paper_spec,
-                          tabulated, tabulated_density, uniform_density,
-                          validate_spec)
-from robpop.solver import solve_backward
+from robpop.model import (SCALAR_FIELDS, JumpDensity, TabulatedFunction,
+                          make_paper_spec, tabulated, tabulated_density,
+                          uniform_density, validate_spec)
 from dataclasses import replace
 
 
@@ -44,26 +42,25 @@ def test_presets_validate(with_control):
 
 
 def test_validation_flags_nonvanishing_growth_at_boundary():
-    bad = replace(make_paper_spec(False), growth_a=tabulated([[0, 0], [1, 1]]))
-    violations = validate_spec(bad)
-    assert violations
-    assert any("a(1)" in v for v in violations)
+    with pytest.raises(ValueError, match=r"^invalid model: .*a\(1\)"):
+        replace(make_paper_spec(False), growth_a=tabulated([[0, 0], [1, 1]]))
 
 
 def test_validation_flags_negative_psi0():
-    bad = replace(make_paper_spec(False), psi0=-0.5)
-    violations = validate_spec(bad)
-    assert violations
-    assert any("psi0" in v for v in violations)
+    with pytest.raises(ValueError, match="^invalid model: psi0"):
+        replace(make_paper_spec(False), psi0=-0.5)
 
 
 def test_validation_flags_negative_disutility():
-    bad = replace(make_paper_spec(False),
-                  disutility_f=tabulated([[0, -1], [1, 1]]))
-    assert validate_spec(bad)
+    with pytest.raises(ValueError, match="^invalid model: disutility"):
+        replace(make_paper_spec(False),
+                disutility_f=tabulated([[0, -1], [1, 1]]))
 
 
-@pytest.mark.parametrize("field, value, named", [
+# these may be zero; every other scalar field must be positive
+MAY_BE_ZERO = ("sigma", "gamma0", "gamma1", "nu1", "nu2")
+# single cases; the sweep of the scalar fields below skips the ones it repeats
+FIRST_CASES = [
     ("sigma", float("nan"), "sigma"),
     ("nu1", float("inf"), "nu1"),
     ("horizon", float("nan"), "horizon"),
@@ -71,16 +68,26 @@ def test_validation_flags_negative_disutility():
     ("disutility_f", TabulatedFunction(xs=np.asarray([0.0, 1.0]),
                                        ys=np.asarray([np.inf, 1.0])),
      "disutility"),
-])
+    ("q_grid_size", 1, "q_grid_size"),
+]
+
+
+# every scalar field below its bound, NaN or infinite (psi1 = 0 once reached
+# build_scheme and raised ZeroDivisionError there)
+@pytest.mark.parametrize("field, value, named", FIRST_CASES + [
+    (name, value, name) for name in SCALAR_FIELDS
+    for value in (-0.5, 0.0, float("nan"), float("inf"), float("-inf"))
+    if not (value == 0.0 and name in MAY_BE_ZERO)
+    and (name, repr(value)) not in {(c[0], repr(c[1])) for c in FIRST_CASES}])
 def test_validation_flags_nonfinite_and_noninteger_values(field, value, named):
-    violations = validate_spec(replace(make_paper_spec(False), **{field: value}))
-    assert violations
-    assert any(named in v for v in violations)
+    with pytest.raises(ValueError, match=f"^invalid model: .*{named} must be"):
+        replace(make_paper_spec(False), **{field: value})
 
 
 def test_validation_collects_multiple_violations():
-    bad = replace(make_paper_spec(False), psi0=-1.0, sigma=-2.0)
-    assert len(validate_spec(bad)) >= 2
+    with pytest.raises(ValueError) as err:
+        replace(make_paper_spec(False), psi0=-1.0, sigma=-2.0)
+    assert str(err.value) == "invalid model: sigma must be >= 0; psi0 must be > 0"
 
 
 @settings(max_examples=60, deadline=None)
@@ -127,9 +134,10 @@ def test_validation_flags_bad_density_table(xs, ys, named):
 
 def test_validation_flags_a_density_field_that_is_not_a_density():
     table = tabulated([[0.2, 5.0], [0.4, 5.0]])     # mass one, but no density
-    assert validate_spec(replace(make_paper_spec(False),
-                                 jump_density_2=table)) == [
-        "jump_density_2 must be a JumpDensity"]
+    with pytest.raises(ValueError) as err:
+        replace(make_paper_spec(False), jump_density_2=table)
+    assert str(err.value) == ("invalid model: "
+                              "jump_density_2 must be a JumpDensity")
 
 
 @st.composite
@@ -173,9 +181,8 @@ def test_tabulated_density_is_valid_or_raises(points):
 def test_validation_checks_coefficient_tables_at_their_knots(field, points,
                                                              named):
     # each table is negative only between two neighbouring even samples
-    violations = validate_spec(replace(make_paper_spec(True),
-                                       **{field: tabulated(points)}))
-    assert any(named in v for v in violations)
+    with pytest.raises(ValueError, match=f"^invalid model: .*{named}"):
+        replace(make_paper_spec(True), **{field: tabulated(points)})
 
 
 def test_validation_flags_nonfinite_growth_rate():
@@ -185,13 +192,11 @@ def test_validation_flags_nonfinite_growth_rate():
         q = np.asarray(q, dtype=float)
         return np.where(q == 0.0, np.nan, 1.0 - q)
 
-    bad = replace(make_paper_spec(True), growth_rate_r=nan_at_zero,
-                  horizon=0.1)
-    assert validate_spec(bad) == [
-        "controlled growth rate must be finite on [0, q_max]"]
-    with pytest.raises(ValueError, match="invalid problem spec") as err:
-        solve_backward(bad, build_mesh(20), build_time_grid(0.1, 0.01))
-    assert "controlled growth rate must be finite" in str(err.value)
+    with pytest.raises(ValueError) as err:
+        replace(make_paper_spec(True), growth_rate_r=nan_at_zero, horizon=0.1)
+    assert str(err.value) == ("invalid model: "
+                              "controlled growth rate must be finite on "
+                              "[0, q_max]")
 
 
 def test_tabulated_sorts_samples():

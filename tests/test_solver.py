@@ -106,11 +106,13 @@ def test_joint_solve_is_each_system_alone_bitwise(k, n, seed):
 # ---------------------------------------------------------------------------
 
 def pure_drift(a_level, r_level, sigma):
-    """A spec with constant growth and rate, no migration and no jumps, and
-    its operators on 10 cells."""
+    """A spec with growth a_level on [0.1, 0.9] (a vanishes at 0 and 1),
+    a constant rate, no migration and no jumps, and its operators on 10
+    cells."""
     spec = replace(rp.make_paper_spec(False),
                    sigma=sigma, gamma0=0.0, gamma1=0.0, nu1=0.0, nu2=0.0,
-                   growth_a=tabulated([[0.0, a_level], [1.0, a_level]]),
+                   growth_a=tabulated([[0.0, 0.0], [0.1, a_level],
+                                       [0.9, a_level], [1.0, 0.0]]),
                    growth_rate_r=tabulated([[0.0, r_level], [1.0, r_level]]))
     return spec, build_scheme(spec, rp.build_mesh(10))
 
@@ -311,10 +313,9 @@ def test_solve_backward_zero_cost_everything_zero():
 
 
 def test_solve_backward_validates_spec():
-    bad = replace(rp.make_paper_spec(False), psi0=-1.0)
-    mesh = rp.build_mesh(10)
+    # the spec checks itself when it is built, so no solve is handed it
     with pytest.raises(ValueError, match="psi0"):
-        rp.solve_backward(bad, mesh, rp.build_time_grid(0.1, 0.01))
+        replace(rp.make_paper_spec(False), psi0=-1.0)
 
 
 def test_solve_backward_rejects_grid_of_another_horizon():
