@@ -18,7 +18,9 @@ and in the change checkout on each of these inputs:
 
 It compares the two exit codes and every output file byte for byte, the
 provenance lines included, prints one line per run and exits 1 on any
-difference. BLAS and OpenMP run on one thread, as in the benchmark.
+difference. For a CSV that differs it also prints the largest absolute
+difference over the cells that are numbers on both sides. BLAS and OpenMP
+run on one thread, as in the benchmark.
 
     python3 scripts/compare_outputs.py --parent ../parent --change .
 """
@@ -26,6 +28,8 @@ difference. BLAS and OpenMP run on one thread, as in the benchmark.
 from __future__ import annotations
 
 import argparse
+import itertools
+import math
 import os
 import runpy
 import subprocess
@@ -90,6 +94,41 @@ def compare_trees(parent: Path, change: Path) -> list[str]:
     return problems
 
 
+def numeric_gaps(parent: Path, change: Path) -> list[str]:
+    """One line for each CSV in both output trees whose bytes differ: the
+    largest |parent - change| over its cells that are numbers on both sides,
+    comment lines skipped and a NaN against a number counted as infinite,
+    and whether any other cell differs."""
+    def cells(path: Path) -> list[list[str]]:
+        return [line.split(",") for line in path.read_text().splitlines()
+                if not line.startswith("#")]
+
+    lines = []
+    for path in sorted(parent.rglob("*.csv")):
+        rel = path.relative_to(parent)
+        other = change / rel
+        if not other.is_file() or path.read_bytes() == other.read_bytes():
+            continue
+        mine, theirs = cells(path), cells(other)
+        if [len(row) for row in mine] != [len(row) for row in theirs]:
+            lines.append(f"{rel}: rows or cells do not line up")
+            continue
+        worst, text_differs = 0.0, False
+        for a, b in zip(itertools.chain(*mine), itertools.chain(*theirs)):
+            if a == b:
+                continue
+            try:
+                gap = abs(float(a) - float(b))
+            except ValueError:
+                text_differs = True
+                continue
+            worst = max(worst, gap if gap == gap else math.inf)
+        lines.append(f"{rel}: largest numeric difference {worst:.3g}"
+                     + (", and a cell that is not a number differs"
+                        if text_differs else ""))
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -104,7 +143,8 @@ def main(argv=None) -> int:
                     for side in roots}
             codes = {side: execute(roots[side], texts[side][name], outs[side])
                      for side in roots}
-            problems = compare_trees(outs["parent"], outs["change"])
+            problems = (compare_trees(outs["parent"], outs["change"])
+                        + numeric_gaps(outs["parent"], outs["change"]))
             if codes["parent"] != codes["change"]:
                 problems.insert(0, f"exit codes {codes['parent']} and "
                                    f"{codes['change']}")

@@ -129,9 +129,9 @@ def resolve_config(entries: dict[str, object]) -> dict[str, object]:
                 isinstance(v, bool) for v in leaves) or (
                 key in NUMBER_LISTS
                 and not all(isinstance(v, (int, float)) for v in value)):
-            raise ConfigError(f"{key} must be {what}, got {_fmt_value(value)}")
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
         if not all(math.isfinite(v) for v in leaves if isinstance(v, float)):
-            raise ConfigError(f"{key} must be finite, got {_fmt_value(value)}")
+            raise ConfigError(f"{key} must be finite, got {value!r}")
 
     command = resolved["command"]
     if command not in ("solve", "sweep", "mc-check"):
@@ -149,7 +149,7 @@ def resolve_config(entries: dict[str, object]) -> dict[str, object]:
 
 def provenance(cfg: dict[str, object]) -> str:
     """The resolved config as one line of statements that re-parses to it."""
-    return "; ".join(f"{k} = {_fmt_value(v)}" for k, v in cfg.items())
+    return "; ".join(f"{k} = {v!r}" for k, v in cfg.items())
 
 
 def _value_type(key: str):
@@ -169,12 +169,6 @@ def _leaves(value) -> list:
     if isinstance(value, (list, tuple)):
         return [leaf for v in value for leaf in _leaves(v)]
     return [value]
-
-
-def _fmt_value(value) -> str:
-    if isinstance(value, list):
-        return "[" + ", ".join(_fmt_value(v) for v in value) + "]"
-    return repr(value)
 
 
 def _coefficient(value, presets, what):

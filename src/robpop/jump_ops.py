@@ -11,9 +11,10 @@ operators comparison-preserving.
 The worst-case intensity distortion has the closed form theta* = exp(-psi *
 delta) with delta = phi(x) - E[phi(post-jump)]; the distorted operator value
 it attains, (nu/psi) * (1 - exp(-psi * delta)), is not needed by the scheme.
-A solve stacks W1's rows over W2's into one jump matrix; `apply_nonlocal`
-applies it to each field of a batch in turn, one mat-vec per field giving
-both jump kinds' expectations.
+`build_jump_quadrature` builds the rows of several (density, kind) pairs
+as one matrix, each pair's block below the last: a solve's W holds W1's rows
+over W2's. `apply_nonlocal` applies it to each field of a batch in turn, one
+mat-vec per field giving both jump kinds' expectations.
 """
 
 from __future__ import annotations
@@ -50,14 +51,53 @@ def post_jump(kind: TransformKind, z: np.ndarray, x: np.ndarray) -> np.ndarray:
     return z + (1.0 - z) * x
 
 
-def build_jump_quadrature(mesh: Mesh, density: JumpDensity,
-                          transform_kind: TransformKind,
+def build_jump_quadrature(mesh: Mesh, jumps,
                           n_quad: int = N_QUAD) -> JumpQuadrature:
-    """Midpoint-rule quadrature of the jump expectation, one row per node."""
+    """Midpoint-rule quadrature of the jump expectations of `jumps`, a
+    sequence of (density, kind) pairs: one block of n rows per pair, the
+    blocks stacked in the order given.
+
+    Each node's quadrature points are written straight into CSR arrays,
+    every point as two entries (the ends of the cell it falls in); then
+    duplicate columns are summed, zeros dropped and each row scaled by
+    1 / its sum in place. The rows come out sorted by column, each pair's
+    bitwise what a build of that pair alone gives.
+    """
     if n_quad < 2:
         raise ValueError("n_quad must be >= 2")
-    if transform_kind not in ("down", "up"):
-        raise ValueError(f"unknown transform kind {transform_kind!r}")
+    jumps = tuple(jumps)
+    n = mesh.n_nodes
+    # entry (p, i, s, k): point k of node i of pair p, at the left (s = 0)
+    # or right (s = 1) end of its cell
+    cols = np.empty((len(jumps), n, 2, n_quad), dtype=np.int32)
+    vals = np.empty(cols.shape)
+    for p, (density, kind) in enumerate(jumps):
+        _fill_rows(cols[p], vals[p], mesh, density, kind)
+    weights = sp.csr_matrix(
+        (vals.reshape(-1), cols.reshape(-1),
+         np.arange(0, vals.size + 1, 2 * n_quad)), shape=(len(jumps) * n, n))
+    del cols, vals
+    weights.sum_duplicates()
+    weights.eliminate_zeros()
+    row_sums = np.add.reduceat(weights.data, weights.indptr[:-1])
+    weights.data *= np.repeat(1.0 / row_sums, np.diff(weights.indptr))
+    # the compaction above keeps views into the blocks when more than half
+    # of their entries survive; a copy of each, one at a time, frees them
+    weights.data = weights.data.copy()
+    weights.indices = weights.indices.copy()
+    return JumpQuadrature(weights=weights)
+
+
+def _fill_rows(cols: np.ndarray, vals: np.ndarray, mesh: Mesh,
+               density: JumpDensity, kind: TransformKind) -> None:
+    """Write one pair's columns and weights into its (n, 2, n_quad) blocks.
+
+    A function of its own so that its (n, n_quad) temporaries are freed
+    before the next pair's are made.
+    """
+    if kind not in ("down", "up"):
+        raise ValueError(f"unknown transform kind {kind!r}")
+    n_quad = cols.shape[-1]
     lo, hi = density.xs[0], density.xs[-1]
     dz = (hi - lo) / n_quad
     z = lo + (np.arange(n_quad) + 0.5) * dz
@@ -66,30 +106,24 @@ def build_jump_quadrature(mesh: Mesh, density: JumpDensity,
     if not 0.0 < w.sum():
         raise ValueError(f"the {n_quad} quadrature points carry no mass of "
                          f"the jump density")
-
-    n = mesh.n_nodes
-    ys = np.clip(post_jump(transform_kind, z[None, :], mesh.nodes[:, None]), 0.0, 1.0)
-    idx, rw = mesh.locate(ys.ravel())
-    rows = np.repeat(np.arange(n), z.size)
-    w_flat = np.tile(w, n)
-    data = np.concatenate([w_flat * (1.0 - rw), w_flat * rw])
-    cols = np.concatenate([idx, idx + 1])
-    mat = sp.coo_matrix((data, (np.concatenate([rows, rows]), cols)),
-                        shape=(n, n)).tocsr()
-    row_sums = np.asarray(mat.sum(axis=1)).ravel()
-    inv = sp.diags(1.0 / row_sums)
-    return JumpQuadrature(weights=(inv @ mat).tocsr())
+    ys = np.clip(post_jump(kind, z, mesh.nodes[:, None]), 0.0, 1.0)
+    idx, rw = mesh.locate(ys)
+    cols[:, 0] = idx
+    np.add(cols[:, 0], 1, out=cols[:, 1])
+    np.subtract(1.0, rw, out=vals[:, 0])
+    vals[:, 0] *= w
+    np.multiply(w, rw, out=vals[:, 1])
 
 
 def apply_nonlocal(quad: JumpQuadrature, phi: np.ndarray, psi, theta_max):
     """The jump gaps and their worst-case intensity factors.
 
-    `quad` holds m blocks of n rows, one per jump kind (a solve's stacked
-    W1 and W2, or a single W), and is applied to each field of phi in turn:
-    a field of shape (n,), or k fields of shape (k, n). Returns (delta,
-    theta_star), each of shape (m,) + phi.shape, with delta = phi - W phi and
-    theta_star = exp(-psi delta) clamped into [0, theta_max]; psi and
-    theta_max broadcast against them.
+    `quad` holds m blocks of n rows, one per (density, kind) pair of its
+    build (a solve's W1 over W2, or a single W), and is applied to each
+    field of phi in turn: a field of shape (n,), or k fields of shape
+    (k, n). Returns (delta, theta_star), each of shape (m,) + phi.shape, with
+    delta = phi - W phi and theta_star = exp(-psi delta) clamped into
+    [0, theta_max]; psi and theta_max broadcast against them.
     """
     if not np.asarray(psi).min() > 0.0:
         raise ValueError("psi must be > 0")

@@ -208,6 +208,8 @@ def make_paper_spec(with_control: bool = False) -> ProblemSpec:
 _BOUNDARY_TOL = 1e-12
 _MAY_BE_ZERO = ("sigma", "gamma0", "gamma1", "nu1", "nu2")
 _N_SAMPLES = 201
+_NUMBER = (int, float, np.integer, np.floating)
+_COEFFICIENTS = ("growth_a", "growth_rate_r", "cost_h", "disutility_f")
 
 
 def _sample_points(fn: Coefficient, lo: float, hi: float) -> np.ndarray:
@@ -223,42 +225,63 @@ def _sample_points(fn: Coefficient, lo: float, hi: float) -> np.ndarray:
 
 
 def validate_spec(spec: ProblemSpec) -> list[str]:
-    """Check well-posedness; returns every violation found, raises none."""
+    """Check well-posedness; returns every violation found, raises none.
+
+    A scalar that is not a number, or a coefficient that is not callable,
+    is a violation, and the checks of its values are skipped.
+    """
     v: list[str] = []
+    numbers = {name for name in SCALAR_FIELDS
+               if isinstance(getattr(spec, name), _NUMBER)}
     for name in SCALAR_FIELDS:
-        if name in _MAY_BE_ZERO and getattr(spec, name) < 0.0:
+        value = getattr(spec, name)
+        if name not in numbers:
+            v.append(f"{name} must be a number, got {type(value).__name__}")
+        elif name in _MAY_BE_ZERO and value < 0.0:
             v.append(f"{name} must be >= 0")
-        elif name not in _MAY_BE_ZERO and getattr(spec, name) <= 0.0:
+        elif name not in _MAY_BE_ZERO and value <= 0.0:
             v.append(f"{name} must be > 0")
     v += [f"{name} must be finite" for name in SCALAR_FIELDS
-          if not math.isfinite(getattr(spec, name))]
+          if name in numbers and not math.isfinite(getattr(spec, name))]
     if not isinstance(spec.q_grid_size, (int, np.integer)) or spec.q_grid_size < 2:
         v.append("q_grid_size must be an integer >= 2")
+    callables = {name for name in _COEFFICIENTS
+                 if callable(getattr(spec, name))}
+    v += [f"{name} must be callable, got {type(getattr(spec, name)).__name__}"
+          for name in _COEFFICIENTS if name not in callables]
 
-    a0 = float(np.asarray(spec.growth_a(0.0), dtype=float))
-    a1 = float(np.asarray(spec.growth_a(1.0), dtype=float))
-    if not abs(a0) <= _BOUNDARY_TOL:
-        v.append(f"growth rate must vanish at the left boundary: a(0) = {a0:.3g}")
-    if not abs(a1) <= _BOUNDARY_TOL:
-        v.append(f"growth rate must vanish at the right boundary: a(1) = {a1:.3g}")
-    xs = _sample_points(spec.growth_a, 0.0, 1.0)
-    a_mid = np.asarray(spec.growth_a(xs[1:-1]), dtype=float)
-    if not np.all((a_mid > 0.0) & np.isfinite(a_mid)):
-        v.append("growth rate must be finite and positive on the sampled interior")
+    if "growth_a" in callables:
+        a0 = float(np.asarray(spec.growth_a(0.0), dtype=float))
+        a1 = float(np.asarray(spec.growth_a(1.0), dtype=float))
+        if not abs(a0) <= _BOUNDARY_TOL:
+            v.append(f"growth rate must vanish at the left boundary: "
+                     f"a(0) = {a0:.3g}")
+        if not abs(a1) <= _BOUNDARY_TOL:
+            v.append(f"growth rate must vanish at the right boundary: "
+                     f"a(1) = {a1:.3g}")
+        xs = _sample_points(spec.growth_a, 0.0, 1.0)
+        a_mid = np.asarray(spec.growth_a(xs[1:-1]), dtype=float)
+        if not np.all((a_mid > 0.0) & np.isfinite(a_mid)):
+            v.append("growth rate must be finite and positive on the sampled "
+                     "interior")
 
-    xs = _sample_points(spec.disutility_f, 0.0, 1.0)
-    f_vals = np.asarray(spec.disutility_f(xs), dtype=float)
-    if not np.all((f_vals >= 0.0) & np.isfinite(f_vals)):
-        v.append("disutility must be finite and nonnegative on [0, 1]")
-    if 0.0 < spec.q_max < math.inf:
-        qs = _sample_points(spec.cost_h, 0.0, spec.q_max)
-        h_vals = np.asarray(spec.cost_h(qs), dtype=float)
-        if not np.all((h_vals >= 0.0) & np.isfinite(h_vals)):
-            v.append("control cost must be finite and nonnegative on [0, q_max]")
-        qs = _sample_points(spec.growth_rate_r, 0.0, spec.q_max)
-        if not np.all(np.isfinite(np.asarray(spec.growth_rate_r(qs),
-                                             dtype=float))):
-            v.append("controlled growth rate must be finite on [0, q_max]")
+    if "disutility_f" in callables:
+        xs = _sample_points(spec.disutility_f, 0.0, 1.0)
+        f_vals = np.asarray(spec.disutility_f(xs), dtype=float)
+        if not np.all((f_vals >= 0.0) & np.isfinite(f_vals)):
+            v.append("disutility must be finite and nonnegative on [0, 1]")
+    if "q_max" in numbers and 0.0 < spec.q_max < math.inf:
+        if "cost_h" in callables:
+            qs = _sample_points(spec.cost_h, 0.0, spec.q_max)
+            h_vals = np.asarray(spec.cost_h(qs), dtype=float)
+            if not np.all((h_vals >= 0.0) & np.isfinite(h_vals)):
+                v.append("control cost must be finite and nonnegative on "
+                         "[0, q_max]")
+        if "growth_rate_r" in callables:
+            qs = _sample_points(spec.growth_rate_r, 0.0, spec.q_max)
+            if not np.all(np.isfinite(np.asarray(spec.growth_rate_r(qs),
+                                                 dtype=float))):
+                v.append("controlled growth rate must be finite on [0, q_max]")
 
     v += [f"{name} must be a JumpDensity"
           for name in ("jump_density_1", "jump_density_2")

@@ -43,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import lapack
 
 from .grid import Mesh, TimeGrid
@@ -180,7 +179,7 @@ class SchemeOperators:
     index: tuple[int, ...]      # each spec's position in the batch built
     batch_size: int             # the number of specs in the batch built
     mesh: Mesh
-    jumps: JumpQuadrature       # W1's rows, then W2's: (2n, n)
+    jumps: JumpQuadrature       # jump_ops stacks W1's rows over W2's: (2n, n)
     a_vals: np.ndarray
     f_vals: np.ndarray
     base_drift: np.ndarray      # gamma1 - (gamma0 + gamma1) x
@@ -252,16 +251,13 @@ def build_scheme(specs, mesh: Mesh, n_quad: int = N_QUAD) -> SchemeOperators:
         e["q_table"] = np.pad(e["q_table"], ((0, 0), (0, pad)), mode="edge")
     stacked = {name: np.stack([e[name] for e in entries], axis=-2)
                for name in entries[0]}
-    quad_down = build_jump_quadrature(mesh, specs[0].jump_density_1, "down",
-                                      n_quad)
-    quad_up = build_jump_quadrature(mesh, specs[0].jump_density_2, "up",
-                                    n_quad)
     return SchemeOperators(
         index=tuple(range(len(specs))),
         batch_size=len(specs),
         mesh=mesh,
-        jumps=JumpQuadrature(weights=sp.vstack(
-            (quad_down.weights, quad_up.weights), format="csr")),
+        jumps=build_jump_quadrature(
+            mesh, ((specs[0].jump_density_1, "down"),
+                   (specs[0].jump_density_2, "up")), n_quad),
         first_central=_central_mask(stacked["two_d_dx"],
                                     stacked["first_drift"]),
         **stacked,

@@ -138,7 +138,8 @@ def test_criterion_08_closed_form_vs_brute_force():
     mesh = rp.build_mesh(100)
     theta_grid = np.linspace(0.0, 3.0, 10_000)
     penalty = xlogy(theta_grid, theta_grid) + 1.0 - theta_grid
-    quads = [rp.build_jump_quadrature(mesh, rp.uniform_density(0.1, 0.9), kind)
+    quads = [rp.build_jump_quadrature(mesh,
+                                      [(rp.uniform_density(0.1, 0.9), kind)])
              for kind in ("down", "up")]
     rng = np.random.default_rng(20240818)
     worst = 0.0

@@ -378,6 +378,27 @@ def test_compare_outputs_finds_a_differing_byte_and_a_missing_file(
         "sub/sweep.csv: only in the change", "value.csv: bytes differ"]
 
 
+def test_compare_outputs_reports_the_largest_numeric_difference(tmp_path):
+    script = load_script("scripts/compare_outputs.py")
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    files = {"value.csv": (b"# a\nx,phi\n0,1.5\n1,nan\n",
+                           b"# b\nx,phi\n0,1.25\n1,nan\n"),
+             "nan.csv": (b"x\n1\n", b"x\nnan\n"),
+             "header.csv": (b"x,y\n1,2\n", b"x,z\n1,2.5\n"),
+             "rows.csv": (b"x\n1\n", b"x\n1\n2\n"),
+             "same.csv": (b"x\n1\n", b"x\n1\n")}
+    for name, sides in files.items():
+        for root, text in zip((parent, change), sides):
+            root.mkdir(exist_ok=True)
+            (root / name).write_bytes(text)
+    assert script.numeric_gaps(parent, change) == [
+        "header.csv: largest numeric difference 0.5, and a cell that is not "
+        "a number differs",
+        "nan.csv: largest numeric difference inf",
+        "rows.csv: rows or cells do not line up",
+        "value.csv: largest numeric difference 0.25"]
+
+
 def test_resolution_rejects_nonfinite_and_noninteger_values():
     with pytest.raises(ConfigError, match="finite"):
         resolve_config({"model.jump1": [[0.2, 1.0], [0.5, float("inf")]]})

@@ -57,9 +57,10 @@ def test_tabulated_density_sampling_mean(rng):
 # the sampler and both quadratures: every reader of a jump density
 EACH_DENSITY_READER = pytest.mark.parametrize("build", [
     make_jump_sampler,
-    lambda density: rp.build_jump_quadrature(rp.build_mesh(10), density,
-                                             "down"),
-    lambda density: rp.build_jump_quadrature(rp.build_mesh(10), density, "up"),
+    lambda density: rp.build_jump_quadrature(rp.build_mesh(10),
+                                             [(density, "down")]),
+    lambda density: rp.build_jump_quadrature(rp.build_mesh(10),
+                                             [(density, "up")]),
 ], ids=["sampler", "down", "up"])
 
 

@@ -84,6 +84,21 @@ def test_validation_flags_nonfinite_and_noninteger_values(field, value, named):
         replace(make_paper_spec(False), **{field: value})
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("sigma", "1", "sigma must be a number, got str"),
+    ("sigma", None, "sigma must be a number, got NoneType"),
+    ("q_max", "1", "q_max must be a number, got str"),
+    ("growth_a", None, "growth_a must be callable, got NoneType"),
+    ("cost_h", 0.1, "cost_h must be callable, got float"),
+])
+def test_validation_flags_a_field_of_the_wrong_type(field, value, message):
+    # the one violation: the checks of the field's values are skipped
+    # instead of raising TypeError on it
+    with pytest.raises(ValueError) as err:
+        replace(make_paper_spec(False), **{field: value})
+    assert str(err.value) == f"invalid model: {message}"
+
+
 def test_validation_collects_multiple_violations():
     with pytest.raises(ValueError) as err:
         replace(make_paper_spec(False), psi0=-1.0, sigma=-2.0)

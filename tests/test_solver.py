@@ -1,5 +1,6 @@
 import gc
 import itertools
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -99,6 +100,26 @@ def test_joint_solve_is_each_system_alone_bitwise(k, n, seed):
         alone = thomas_solve(lower[j:j + 1], diag[j:j + 1], upper[j:j + 1],
                              rhs[j:j + 1])
         assert np.array_equal(joint[j:j + 1], alone)
+
+
+# ---------------------------------------------------------------------------
+# scheme operators
+# ---------------------------------------------------------------------------
+
+def test_build_scheme_peak_stays_near_its_jump_matrix():
+    # the stacked jump matrix is built in place: the traced peak of a
+    # 500-cell build stays below 2.5 times the bytes of the matrix it keeps
+    spec, mesh = rp.make_paper_spec(True), rp.build_mesh(500)
+    build_scheme(spec, mesh)        # imports and caches out of the trace
+    tracemalloc.start()
+    try:
+        ops = build_scheme(spec, mesh)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    weights = ops.jumps.weights
+    kept = weights.data.nbytes + weights.indices.nbytes + weights.indptr.nbytes
+    assert peak < 2.5 * kept
 
 
 # ---------------------------------------------------------------------------
